@@ -19,6 +19,7 @@ import dataclasses
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -119,6 +120,8 @@ def parse_config(argv) -> RunConfig:
     # validation; any violation is a usage error (exit 2)
     if cfg.n < 1:
         parser.error("n must be >= 1")
+    if cfg.command == "sweep" and cfg.n != 2:
+        parser.error("sweep evaluates the n = 2 fidelity formulas; n must be 2")
     if not cfg.channel_lengths:
         parser.error("channel length list must not be empty")
     for N in cfg.channel_lengths:
@@ -128,8 +131,8 @@ def parse_config(argv) -> RunConfig:
         parser.error("ratio-steps must be >= 1")
     if cfg.ratio_min <= 0 or (cfg.ratio_min >= cfg.ratio_max and cfg.ratio_steps > 1):
         parser.error("need 0 < ratio-min < ratio-max")
-    if cfg.shots < 1:
-        parser.error("shots must be >= 1")
+    if cfg.shots < 2:
+        parser.error("shots must be >= 2 (the NDFS check needs a standard error)")
     if cfg.sigma_lambda < 0:
         parser.error("sigma-lambda must be >= 0")
     if cfg.format not in ("csv", "json"):
@@ -149,14 +152,20 @@ def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    tmp = path + ".tmp"
+    tmp = None
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                   prefix=os.path.basename(path) + ".", suffix=".tmp")
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would have
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
         sys.exit(1)
 
@@ -180,6 +189,22 @@ def run_sweep(cfg: RunConfig) -> int:
                             t_choice=cfg.time, encodings=encodings)
     _write_output(_sweep_rows_text(result.rows, cfg.format), cfg.output_path)
     return 0
+
+
+# N = 3, n = 2: the chain on which the formulas are checked against the oracle
+_ORACLE_SPEC = derive_parameters(2, 3, 1.0, 0.2)
+
+
+def _formula_vs_oracle_error(times) -> float:
+    """Largest |formula - many-body oracle| fidelity gap over both encodings."""
+    dec = eigendecompose(build_full_coupling_matrix(_ORACLE_SPEC))
+    err = 0.0
+    for t in map(float, times):
+        e = extract_register_elements(propagator_at(dec, t))
+        err = max(err,
+                  abs(f_dfs(e) - orc.average_fidelity_bruteforce(_ORACLE_SPEC, "dfs", t)),
+                  abs(f_ndfs(e) - orc.average_fidelity_bruteforce(_ORACLE_SPEC, "ndfs", t)))
+    return err
 
 
 def _verify_checks(cfg: RunConfig):
@@ -227,16 +252,8 @@ def _verify_checks(cfg: RunConfig):
         err = max(err, abs(f_dfs(e) - f_dfs(flipped)), abs(f_ndfs(e) - f_ndfs(flipped)))
     add("kappa_parity_invariance", err, 1e-12 * scale)
 
-    # formula vs many-body oracle, N = 3, n = 2
-    sp = derive_parameters(2, 3, 1.0, 0.2)
-    dec = eigendecompose(build_full_coupling_matrix(sp))
-    err = 0.0
-    for t in rng.uniform(0, 2 * sp.tau, 4):
-        e = extract_register_elements(propagator_at(dec, float(t)))
-        err = max(err,
-                  abs(f_dfs(e) - orc.average_fidelity_bruteforce(sp, "dfs", float(t))),
-                  abs(f_ndfs(e) - orc.average_fidelity_bruteforce(sp, "ndfs", float(t))))
-    add("formula_vs_oracle", err, 1e-8 * scale)
+    add("formula_vs_oracle",
+        _formula_vs_oracle_error(rng.uniform(0, 2 * _ORACLE_SPEC.tau, 4)), 1e-8 * scale)
 
     # dephasing protection, effective model
     sp = derive_parameters(2, 3, 1.0, 0.1)
@@ -255,30 +272,23 @@ def run_verify(cfg: RunConfig) -> int:
     checks = _verify_checks(cfg)
     overall = all(c["pass"] for c in checks)
     report = {"checks": checks, "overall_pass": overall}
-    _write_output(json.dumps(report, indent=2) + "\n", cfg.output_path)
+    _write_output(json.dumps(report, indent=2, allow_nan=False) + "\n", cfg.output_path)
     return 0 if overall else 1
 
 
 def run_oracle(cfg: RunConfig) -> int:
     n = min(cfg.n, 3)
     swap = orc.effective_swap_check(n)
-    sp = derive_parameters(2, 3, 1.0, 0.2)
-    dec = eigendecompose(build_full_coupling_matrix(sp))
     rng = np.random.default_rng(cfg.seed)
-    diffs = []
-    for t in rng.uniform(0, 2 * sp.tau, 4):
-        e = extract_register_elements(propagator_at(dec, float(t)))
-        diffs.append(abs(f_dfs(e) - orc.average_fidelity_bruteforce(sp, "dfs", float(t))))
-        diffs.append(abs(f_ndfs(e) - orc.average_fidelity_bruteforce(sp, "ndfs", float(t))))
+    err = _formula_vs_oracle_error(rng.uniform(0, 2 * _ORACLE_SPEC.tau, 4))
     report = {
         "swap_check": {"n": swap.n, "max_amplitude_error": swap.max_amplitude_error,
                        "pass": swap.passed},
-        "formula_vs_oracle": {"max_error": max(diffs), "tolerance": 1e-8,
-                              "pass": max(diffs) <= 1e-8},
+        "formula_vs_oracle": {"max_error": err, "tolerance": 1e-8, "pass": err <= 1e-8},
     }
-    overall = swap.passed and max(diffs) <= 1e-8
+    overall = swap.passed and err <= 1e-8
     report["overall_pass"] = overall
-    _write_output(json.dumps(report, indent=2) + "\n", cfg.output_path)
+    _write_output(json.dumps(report, indent=2, allow_nan=False) + "\n", cfg.output_path)
     return 0 if overall else 1
 
 

@@ -1,8 +1,13 @@
 """Exact many-body oracle for desk-scale chains.
 
 Everything in this module works on the full 2^L-dimensional state vector
-(L = total sites, hard cap 12) so it is slow but assumption-free.  It is
-used to validate, by brute force, what the free-fermion engine claims:
+(L = total sites, hard cap 12) and makes no free-fermion assumption.  The
+XX Hamiltonian conserves total spin-z, so the one evolve core
+(``_evolve_sectors``) diagonalises each popcount block of the dense
+many-body matrix separately and evolves a whole batch of states at once;
+``evolve_state``, a full-matrix eigendecomposition, is kept as the dense
+reference that the core is tested against.  The oracle is used to
+validate, by brute force, what the free-fermion engine claims:
 
 * the single-excitation block of the many-body XX Hamiltonian equals the
   single-particle coupling matrix (Jordan-Wigner consistency),
@@ -158,9 +163,31 @@ def spin_hamiltonian_from_coupling(omega: CouplingMatrix) -> np.ndarray:
 
 
 def evolve_state(H: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iHt) psi via full Hermitian eigendecomposition."""
+    """exp(-iHt) psi via full Hermitian eigendecomposition (dense reference)."""
     w, V = np.linalg.eigh(H)
     return V @ (np.exp(-1j * w * t) * (V.conj().T @ psi))
+
+
+def _evolve_sectors(H: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
+    """exp(-iHt) applied to every column of psi, one total-S_z sector at a time.
+
+    H must conserve the number of up spins, as every XX Hamiltonian here
+    does.  Sectors that no column touches are skipped.  V is real, so each
+    product is two real GEMMs (real and imaginary parts) rather than one
+    complex GEMM that upcasts V.
+    """
+    L = len(H).bit_length() - 1
+    pop = _popcounts(L)
+    out = np.zeros(psi.shape, dtype=complex)
+    for m in range(L + 1):
+        idx = np.flatnonzero(pop == m)
+        x = psi[idx]
+        if not np.any(x):
+            continue
+        w, V = np.linalg.eigh(H[np.ix_(idx, idx)])
+        c = (V.T @ x.real + 1j * (V.T @ x.imag)) * np.exp(-1j * w * t)[:, None]
+        out[idx] = V @ c.real + 1j * (V @ c.imag)
+    return out
 
 
 def jw_phase_prediction(p: OccupationPattern, n: int) -> int:
@@ -208,8 +235,7 @@ def phase_table(n: int, spec: ChainSpec | None = None, tol: float = 1e-8) -> lis
     if spec is None:
         spec = derive_parameters(n=n, N=3, g_C=1.0, g_I=0.1)
     H = build_spin_hamiltonian(spec, "effective")
-    w, V = np.linalg.eigh(H)
-    U = (V * np.exp(-1j * w * spec.tau)) @ V.conj().T
+    U = _evolve_sectors(H, np.eye(len(H)), spec.tau)
 
     rows = []
     L = 2 * n + 1
@@ -261,24 +287,20 @@ def encode_cnot(psi: np.ndarray, control_site: int, target_site: int) -> np.ndar
     return psi[_cnot_perm(L, control_site, target_site)]
 
 
-def _sz_values(L: int) -> np.ndarray:
+def _popcounts(L: int) -> np.ndarray:
+    """Number of up spins of every basis index."""
     s = np.arange(1 << L)
-    pop = np.zeros(1 << L, dtype=np.int64)
-    for k in range(L):
-        pop += (s >> k) & 1
-    return 2 * pop - L
+    return sum((s >> k) & 1 for k in range(L))
+
+
+def _sz_values(L: int) -> np.ndarray:
+    return 2 * _popcounts(L) - L
 
 
 def apply_collective_dephasing(psi: np.ndarray, lam: float, t: float) -> np.ndarray:
     """Phase exp(-i lam s_z t) per basis state, s_z = total spin-z value."""
     L = int(np.log2(len(psi)))
     return np.exp(-1j * lam * _sz_values(L) * t) * psi
-
-
-def _rho_last_site(psi: np.ndarray) -> np.ndarray:
-    """Reduced 2x2 density matrix of the last site (the R1 qubit)."""
-    m = psi.reshape(2, -1)  # MSB = highest site index = R1
-    return m @ m.conj().T
 
 
 def _pair_perm(L: int, mapping: dict, lo_bit: int, hi_bit: int) -> np.ndarray:
@@ -339,6 +361,44 @@ def _default_target(encoding) -> str:
     return "z" if encoding == "ndfs" else "identity"
 
 
+def _run_pipeline(H: np.ndarray, encoding, t: float, channel_states, lams):
+    """Prepare, encode on L, evolve, dephase and decode on R every
+    (Pauli-axis input, channel basis state) run as one batch.
+
+    Runs are input-major: run i * len(channel_states) + k starts from
+    PAULI_AXIS_STATES[i] with channel state channel_states[k] and the right
+    register in vacuum.  Returns the inputs (runs, 2), the R1 populations
+    (2, runs) and the R1 coherence rho_01 (shots, runs).  The dephasing
+    phase exp(-i lam s_z t) uses s_z before decoding, so populations do not
+    depend on lam and each rest-of-chain term of rho_01 picks up
+    exp(-i lam t dz), dz = s_z(R1-down branch) - s_z(R1-up branch).
+    """
+    L = len(H).bit_length() - 1
+    prep, enc_perm, dec_perm = _codec_perms(L, encoding)
+    base = np.tile((np.asarray(channel_states) << 2) | (prep << 1), len(PAULI_AXIS_STATES))
+    inputs = np.repeat(np.array(PAULI_AXIS_STATES), len(channel_states), axis=0)
+    runs = np.arange(len(inputs))
+    psi = np.zeros((1 << L, len(runs)), dtype=complex)
+    psi[base, runs] = inputs[:, 0]
+    psi[base | 1, runs] = inputs[:, 1]
+    # R1 is the most significant bit of the decoded basis index
+    q = _evolve_sectors(H, psi[enc_perm], t)[dec_perm].reshape(2, -1, len(runs))
+    sz = _sz_values(L)[dec_perm].reshape(2, -1)
+    phases = np.exp(-1j * t * np.outer(lams, sz[0] - sz[1]))
+    return inputs, np.sum(np.abs(q) ** 2, axis=1), phases @ (q[0] * np.conj(q[1]))
+
+
+def _mean_fidelities(pipeline, target: str) -> np.ndarray:
+    """Per-shot fidelity to each run's input (Z-corrected for target "z"),
+    averaged over runs."""
+    inputs, pops, coh = pipeline
+    a0, a1 = inputs.T
+    sign = -1.0 if target == "z" else 1.0
+    f = (np.abs(a0) ** 2 * pops[0] + np.abs(a1) ** 2 * pops[1]
+         + 2.0 * sign * np.real(np.conj(a0) * a1 * coh))
+    return f.mean(axis=1)
+
+
 def average_fidelity_bruteforce(spec: ChainSpec, encoding, t: float,
                                 channel_init="maximally-mixed",
                                 deph: DephasingModel | None = None,
@@ -359,14 +419,11 @@ def average_fidelity_bruteforce(spec: ChainSpec, encoding, t: float,
     if spec.n != 2:
         raise ValueError("the encode/decode pipeline is defined for n = 2")
     omega = _coupling_for(spec, which)
-    L = omega.order
     H = spin_hamiltonian_from_coupling(omega)
-    w, V = np.linalg.eigh(H)
 
-    n_channel = L - 4  # sites that are neither L nor R register
-    channel_bits = list(range(2, 2 + n_channel))
+    n_channel = omega.order - 4  # sites that are neither L nor R register
     if channel_init == "maximally-mixed":
-        channel_states = list(range(1 << n_channel))
+        channel_states = np.arange(1 << n_channel)
     else:
         c = int(channel_init)
         if not 0 <= c < (1 << n_channel):
@@ -376,31 +433,10 @@ def average_fidelity_bruteforce(spec: ChainSpec, encoding, t: float,
     target = logical_target or _default_target(encoding)
     if target not in ("identity", "z"):
         raise ValueError(f"unknown logical target {target!r}")
-    zsign = np.array([1.0, -1.0]) if target == "z" else np.array([1.0, 1.0])
-
-    prep, enc_perm, dec_perm = _codec_perms(L, encoding)
 
     lams = deph.draw() if deph is not None and deph.sigma_lambda > 0 else np.zeros(1)
-    sz = _sz_values(L)
-
-    total = 0.0
-    for chi in PAULI_AXIS_STATES:
-        tgt = zsign * chi
-        for c in channel_states:
-            base = sum(((c >> i) & 1) << b for i, b in enumerate(channel_bits))
-            base |= prep << 1
-            psi = np.zeros(1 << L, dtype=complex)
-            psi[base] = chi[0]
-            psi[base | 1] = chi[1]
-            psi = psi[enc_perm]
-            psi = V @ (np.exp(-1j * w * t) * (V.conj().T @ psi))
-            rho = np.zeros((2, 2), dtype=complex)
-            for lam in lams:
-                phi = (np.exp(-1j * lam * sz * t) * psi)[dec_perm]
-                rho += _rho_last_site(phi)
-            rho /= len(lams)
-            total += float(np.real(tgt.conj() @ rho @ tgt))
-    return total / (6 * len(channel_states))
+    return float(np.mean(_mean_fidelities(
+        _run_pipeline(H, encoding, t, channel_states, lams), target)))
 
 
 @dataclass(frozen=True)
@@ -425,21 +461,24 @@ def dephasing_protection_report(spec: ChainSpec, deph: DephasingModel, t: float,
     from the lambda = 0 value must be ~machine precision, since every branch
     of the encoded state carries the same total spin-z.
 
-    (b) NDFS: the decoded coherence, relative to the undephased run, equals
-    the per-shot factor exp(-4 i lambda t) exactly; its Monte-Carlo mean is
-    compared against the Gaussian characteristic value exp(-8 sigma^2 t^2).
+    (b) NDFS: the decoded coherence rho_01, relative to the undephased run,
+    equals the per-shot factor exp(+4 i lambda t) exactly for the effective
+    model at t = tau (|dn,dn> and |up,up> differ by 4 in s_z); its
+    Monte-Carlo mean is compared against the Gaussian characteristic value
+    exp(-8 sigma^2 t^2).
     """
-    lams = deph.draw()
+    lams = np.concatenate(([0.0], deph.draw()))  # row 0 is the undephased run
+    omega = _coupling_for(spec, which)
+    H = spin_hamiltonian_from_coupling(omega)
+    channel_states = np.arange(1 << (omega.order - 4))
 
-    dfs = _pipeline_states(spec, "dfs", t, which)
-    f0 = _fidelity_at_fixed_lambda(dfs, "dfs", t, 0.0)
-    dev = max(abs(_fidelity_at_fixed_lambda(dfs, "dfs", t, lam) - f0)
-              for lam in lams)
+    f = _mean_fidelities(_run_pipeline(H, "dfs", t, channel_states, lams), "identity")
+    dev = float(np.max(np.abs(f[1:] - f[0])))
 
-    # NDFS coherence: |+> input, coherence ratio per shot
-    ndfs = _pipeline_states(spec, "ndfs", t, which)
-    rho0 = _decoded_coherence(ndfs, t, 0.0)
-    shots = np.array([_decoded_coherence(ndfs, t, lam) / rho0 for lam in lams])
+    # NDFS coherence: |+> input (PAULI_AXIS_STATES[2]), coherence ratio per shot
+    plus = slice(2 * len(channel_states), 3 * len(channel_states))
+    coh = _run_pipeline(H, "ndfs", t, channel_states, lams)[2][:, plus].mean(axis=1)
+    shots = coh[1:] / coh[0]
     measured = float(np.mean(shots.real))
     stderr = float(np.std(shots.real, ddof=1) / np.sqrt(len(shots)))
     predicted = float(np.exp(-8.0 * deph.sigma_lambda ** 2 * t ** 2))
@@ -453,48 +492,3 @@ def dephasing_protection_report(spec: ChainSpec, deph: DephasingModel, t: float,
         ndfs_stderr=stderr, ndfs_passed=ndfs_ok,
         per_shot_suppression=shots,
     )
-
-
-def _pipeline_states(spec: ChainSpec, encoding, t: float, which: str):
-    """Evolved (un-dephased) pipeline states for each (input, channel) pair."""
-    omega = _coupling_for(spec, which)
-    L = omega.order
-    H = spin_hamiltonian_from_coupling(omega)
-    w, V = np.linalg.eigh(H)
-    n_channel = L - 4
-    channel_bits = list(range(2, 2 + n_channel))
-    prep, enc_perm, dec_perm = _codec_perms(L, encoding)
-    states = {}
-    for i, chi in enumerate(PAULI_AXIS_STATES):
-        for c in range(1 << n_channel):
-            base = sum(((c >> k) & 1) << b for k, b in enumerate(channel_bits))
-            base |= prep << 1
-            psi = np.zeros(1 << L, dtype=complex)
-            psi[base] = chi[0]
-            psi[base | 1] = chi[1]
-            psi = psi[enc_perm]
-            states[(i, c)] = V @ (np.exp(-1j * w * t) * (V.conj().T @ psi))
-    return L, dec_perm, states, n_channel
-
-
-def _fidelity_at_fixed_lambda(pipeline, encoding, t: float, lam: float) -> float:
-    L, dec_perm, states, n_channel = pipeline
-    sz = _sz_values(L)
-    zsign = np.array([1.0, -1.0]) if _default_target(encoding) == "z" else np.array([1.0, 1.0])
-    total = 0.0
-    for (i, c), psi in states.items():
-        tgt = zsign * PAULI_AXIS_STATES[i]
-        rho = _rho_last_site((np.exp(-1j * lam * sz * t) * psi)[dec_perm])
-        total += float(np.real(tgt.conj() @ rho @ tgt))
-    return total / (6 * (1 << n_channel))
-
-
-def _decoded_coherence(pipeline, t: float, lam: float) -> complex:
-    """Off-diagonal element of the decoded R1 qubit for a |+> input."""
-    L, dec_perm, states, n_channel = pipeline
-    sz = _sz_values(L)
-    rho = np.zeros((2, 2), dtype=complex)
-    for c in range(1 << n_channel):
-        psi = states[(2, c)]  # PAULI_AXIS_STATES[2] is |+>
-        rho += _rho_last_site((np.exp(-1j * lam * sz * t) * psi)[dec_perm])
-    return complex(rho[0, 1]) / (1 << n_channel)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -53,6 +54,19 @@ class TestParseConfig:
         # explicit flag wins over the file
         cfg = parse_config(["sweep", "--config", str(cfg_file), "--seed", "3"])
         assert cfg.ratio_steps == 7 and cfg.seed == 3
+
+    @pytest.mark.parametrize("n", ["1", "3"])
+    def test_sweep_register_size_other_than_2_rejected(self, n):
+        # the sweep's fidelity formulas are the n = 2 ones
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n", n, "--channel-lengths", "3", "--ratio-steps", "2"])
+        assert exc.value.code == 2
+
+    def test_single_shot_rejected(self):
+        # one shot has no standard error, so the NDFS tolerance would be NaN
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--shots", "1"])
+        assert exc.value.code == 2
 
     def test_config_file_unknown_key(self, tmp_path):
         cfg_file = tmp_path / "run.json"
@@ -109,6 +123,29 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()[1:]
         assert len(lines) == 2
         assert all(line.split(",")[4] == "dfs" for line in lines)
+
+    def test_atomic_write_leaves_no_temp_file(self, tmp_path):
+        out = tmp_path / "s.csv"
+        other = tmp_path / "s.csv.tmp"  # a concurrent writer's file is left alone
+        other.write_text("other run")
+        rc = main(["sweep", "--channel-lengths", "3", "--ratio-steps", "2",
+                   "--output", str(out)])
+        assert rc == 0
+        assert sorted(os.listdir(tmp_path)) == ["s.csv", "s.csv.tmp"]
+        assert other.read_text() == "other run"
+        other.unlink()
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+        # the temp file is written, then replacing the target (a directory) fails
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--channel-lengths", "3", "--ratio-steps", "2",
+                  "--output", str(target)])
+        assert exc.value.code == 1
+        assert sorted(os.listdir(tmp_path)) == ["s.csv", "taken"]
+        assert os.listdir(target) == []
 
     def test_io_failure_exits_1(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

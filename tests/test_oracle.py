@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfsqst.model import (CouplingMatrix, derive_parameters,
                           build_full_coupling_matrix, build_effective_coupling_matrix)
@@ -10,7 +11,8 @@ from dfsqst.oracle import (MAX_SITES, OccupationPattern, DephasingModel,
                            evolve_state, jw_phase_prediction, effective_swap_check,
                            phase_table, encode_cnot, apply_collective_dephasing,
                            average_fidelity_bruteforce, dephasing_protection_report,
-                           REMAINING_SUBSPACES)
+                           REMAINING_SUBSPACES, PAULI_AXIS_STATES,
+                           _evolve_sectors, _codec_perms)
 
 
 def single_bond(g):
@@ -102,6 +104,68 @@ class TestEvolveState:
                 out = evolve_state(H, psi, t)
                 amps = np.array([out[1 << i] for i in range(L)])
                 assert np.max(np.abs(amps - delta[:, j])) <= 1e-9
+
+
+def chain(offdiag):
+    L = len(offdiag) + 1
+    m = np.diag(offdiag, 1) + np.diag(offdiag, -1)
+    return CouplingMatrix(order=L, entries=m, site_labels=tuple(map(str, range(L))),
+                          kind="full")
+
+
+class TestSectorEvolve:
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(2, 9), t=st.floats(0.0, 20.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_evolve_state(self, L, t, seed):
+        # disordered couplings; a batch whose columns span several sectors,
+        # with some sectors left empty so the skip path runs too
+        rng = np.random.default_rng(seed)
+        H = spin_hamiltonian_from_coupling(chain(rng.uniform(0.1, 2.0, L - 1)))
+        pop = np.array([bin(s).count("1") for s in range(1 << L)])
+        psi = rng.normal(size=(1 << L, 4)) + 1j * rng.normal(size=(1 << L, 4))
+        psi[np.isin(pop, rng.choice(L + 1, size=L // 2, replace=False))] = 0.0
+        psi /= np.linalg.norm(psi, axis=0)
+        out = _evolve_sectors(H, psi, t)
+        for j in range(psi.shape[1]):
+            np.testing.assert_allclose(out[:, j], evolve_state(H, psi[:, j], t),
+                                       rtol=0, atol=1e-12)
+
+
+def dense_average_fidelity(spec, encoding, t, deph=None, target="identity"):
+    """The oracle pipeline as a per-state loop over the dense eigh of H."""
+    H = build_spin_hamiltonian(spec, "full")
+    L = len(H).bit_length() - 1
+    w, V = np.linalg.eigh(H)
+    prep, enc_perm, dec_perm = _codec_perms(L, encoding)
+    lams = deph.draw() if deph is not None else [0.0]
+    zsign = np.array([1.0, -1.0]) if target == "z" else np.array([1.0, 1.0])
+    total = 0.0
+    for chi in PAULI_AXIS_STATES:
+        for c in range(1 << (L - 4)):
+            psi = np.zeros(1 << L, dtype=complex)
+            psi[(c << 2) | (prep << 1)] = chi[0]
+            psi[(c << 2) | (prep << 1) | 1] = chi[1]
+            psi = V @ (np.exp(-1j * w * t) * (V.T @ psi[enc_perm]))
+            rho = np.zeros((2, 2), dtype=complex)
+            for lam in lams:
+                m = apply_collective_dephasing(psi, lam, t)[dec_perm].reshape(2, -1)
+                rho += m @ m.conj().T
+            tgt = zsign * chi
+            total += float(np.real(tgt.conj() @ rho @ tgt)) / len(lams)
+    return total / (6 << (L - 4))
+
+
+@pytest.mark.parametrize("encoding,target", [("dfs", "identity"), ("ndfs", "z"),
+                                             (REMAINING_SUBSPACES[2], "identity")])
+@pytest.mark.parametrize("dephased", [False, True])
+def test_bruteforce_matches_dense_loop(encoding, target, dephased):
+    spec = derive_parameters(2, 3, 1.0, 0.3)  # L = 7
+    deph = DephasingModel(sigma_lambda=0.4 / spec.tau, samples=25, seed=3) if dephased else None
+    for t in (0.41 * spec.tau, spec.tau, 1.63 * spec.tau):
+        got = average_fidelity_bruteforce(spec, encoding, t, deph=deph,
+                                          logical_target=target)
+        assert got == pytest.approx(dense_average_fidelity(spec, encoding, t, deph, target),
+                                    abs=1e-12)
 
 
 class TestJwPhases:
@@ -246,6 +310,13 @@ class TestDephasingProtection:
         assert rep.dfs_max_deviation <= 1e-10
         assert rep.ndfs_predicted_suppression == pytest.approx(np.exp(-2.0), abs=1e-12)
         assert rep.ndfs_passed
+
+    def test_ndfs_per_shot_factor_at_tau(self):
+        spec = derive_parameters(2, 3, 1.0, 0.1)
+        deph = DephasingModel(sigma_lambda=0.5 / spec.tau, samples=20, seed=42)
+        rep = dephasing_protection_report(spec, deph, spec.tau)
+        np.testing.assert_allclose(rep.per_shot_suppression,
+                                   np.exp(4j * deph.draw() * spec.tau), rtol=0, atol=1e-12)
 
     def test_sigma_zero_leaves_both_unaffected(self):
         spec = derive_parameters(2, 3, 1.0, 0.1)
