@@ -3,11 +3,12 @@
 Everything in this module works on the full 2^L-dimensional state vector
 (L = total sites, hard cap 12) and makes no free-fermion assumption.  The
 XX Hamiltonian conserves total spin-z, so the one evolve core
-(``_evolve_sectors``) diagonalises each popcount block of the dense
-many-body matrix separately and evolves a whole batch of states at once;
-``evolve_state``, a full-matrix eigendecomposition, is kept as the dense
-reference that the core is tested against.  The oracle is used to
-validate, by brute force, what the free-fermion engine claims:
+(``_evolve_sectors``) evolves a whole batch of states one popcount block
+of the dense many-body matrix at a time (block L - m reuses the
+eigenvectors of block m); ``evolve_state``, a full-matrix
+eigendecomposition, is kept as the dense reference that the core is
+tested against.  The oracle is used to validate, by brute force, what
+the free-fermion engine claims:
 
 * the single-excitation block of the many-body XX Hamiltonian equals the
   single-particle coupling matrix (Jordan-Wigner consistency),
@@ -171,22 +172,26 @@ def evolve_state(H: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
 def _evolve_sectors(H: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
     """exp(-iHt) applied to every column of psi, one total-S_z sector at a time.
 
-    H must conserve the number of up spins, as every XX Hamiltonian here
-    does.  Sectors that no column touches are skipped.  V is real, so each
-    product is two real GEMMs (real and imaginary parts) rather than one
-    complex GEMM that upcasts V.
+    H must conserve the number of up spins and be unchanged by a global spin
+    flip (H == H[::-1, ::-1]), as every XX Hamiltonian here is; the flip maps
+    sector L - m onto sector m in reversed basis order, so sector L - m reuses
+    the eigenvectors of sector m.  Every sector is evolved, touched or not, so
+    a call costs the same whatever the input.  V is real, so each product is
+    two real GEMMs rather than one complex GEMM that upcasts V.
     """
     L = len(H).bit_length() - 1
     pop = _popcounts(L)
+    top = len(H) - 1
     out = np.zeros(psi.shape, dtype=complex)
-    for m in range(L + 1):
+    for m in range(L // 2 + 1):
         idx = np.flatnonzero(pop == m)
-        x = psi[idx]
-        if not np.any(x):
-            continue
         w, V = np.linalg.eigh(H[np.ix_(idx, idx)])
-        c = (V.T @ x.real + 1j * (V.T @ x.imag)) * np.exp(-1j * w * t)[:, None]
-        out[idx] = V @ c.real + 1j * (V @ c.imag)
+        phase = np.exp(-1j * w * t)[:, None]
+        # keyed by sector, so the self-flipped middle sector of even L runs once
+        for rows, U in {m: (idx, V), L - m: ((top - idx)[::-1], V[::-1])}.values():
+            x = psi[rows]
+            c = (U.T @ x.real + 1j * (U.T @ x.imag)) * phase
+            out[rows] = U @ c.real + 1j * (U @ c.imag)
     return out
 
 

@@ -118,7 +118,8 @@ class TestSectorEvolve:
     @given(L=st.integers(2, 9), t=st.floats(0.0, 20.0), seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_dense_evolve_state(self, L, t, seed):
         # disordered couplings; a batch whose columns span several sectors,
-        # with some sectors left empty so the skip path runs too
+        # with some sectors left empty; odd and even L cover the flipped
+        # sectors and the self-flipped middle sector
         rng = np.random.default_rng(seed)
         H = spin_hamiltonian_from_coupling(chain(rng.uniform(0.1, 2.0, L - 1)))
         pop = np.array([bin(s).count("1") for s in range(1 << L)])
@@ -129,6 +130,18 @@ class TestSectorEvolve:
         for j in range(psi.shape[1]):
             np.testing.assert_allclose(out[:, j], evolve_state(H, psi[:, j], t),
                                        rtol=0, atol=1e-12)
+
+    def test_same_work_for_every_input(self, monkeypatch):
+        # a call diagonalises sectors m <= L/2 whichever sectors the batch
+        # occupies, so its cost does not depend on the input states
+        H = spin_hamiltonian_from_coupling(chain(np.linspace(0.5, 1.5, 8)))
+        sizes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+        for s in (0, 0b111, (1 << 9) - 1):
+            psi = np.zeros((1 << 9, 1), dtype=complex)
+            psi[s] = 1.0
+            _evolve_sectors(H, psi, 1.0)
+        assert sizes == [1, 9, 36, 84, 126] * 3
 
 
 def dense_average_fidelity(spec, encoding, t, deph=None, target="identity"):
