@@ -8,7 +8,7 @@ from .propagator import (SpectralDecomposition, Propagator, eigendecompose,
                          propagator_at, closed_form_effective_elements,
                          mirror_inversion_report)
 from .fidelity import (RegisterElements, extract_register_elements,
-                       pauli_transfer_terms, f_dfs, f_ndfs,
+                       register_elements, pauli_transfer_terms, f_dfs, f_ndfs,
                        SweepRow, SweepResult, DisorderSpec,
                        sweep_fidelity, default_ratio_grid)
 from .oracle import (OccupationPattern, DephasingModel, build_spin_hamiltonian,

@@ -27,7 +27,7 @@ from .model import derive_parameters
 from .propagator import (closed_form_effective_elements, eigendecompose,
                          mirror_inversion_report, propagator_at)
 from .model import build_effective_coupling_matrix, build_full_coupling_matrix
-from .fidelity import (RegisterElements, default_ratio_grid,
+from .fidelity import (RegisterElements, _worker_count, default_ratio_grid,
                        extract_register_elements, f_dfs, f_ndfs, sweep_fidelity)
 from . import oracle as orc
 
@@ -120,8 +120,13 @@ def parse_config(argv) -> RunConfig:
     # validation; any violation is a usage error (exit 2)
     if cfg.n < 1:
         parser.error("n must be >= 1")
-    if cfg.command == "sweep" and cfg.n != 2:
-        parser.error("sweep evaluates the n = 2 fidelity formulas; n must be 2")
+    if cfg.command == "sweep":
+        if cfg.n != 2:
+            parser.error("sweep evaluates the n = 2 fidelity formulas; n must be 2")
+        try:
+            _worker_count(None)  # reads QST_THREADS
+        except ValueError as exc:
+            parser.error(str(exc))
     if not cfg.channel_lengths:
         parser.error("channel length list must not be empty")
     for N in cfg.channel_lengths:

@@ -14,9 +14,12 @@ NDFS to {|dn,dn>, |up,up>}.  Both formulas are invariant under flipping the
 sign of all four elements, which is exactly the (-1)^(kappa-1) convention
 ambiguity of the right-end mode.
 
-The sweep engine evaluates the full-chain propagator at t = tau over a grid
-of coupling ratios, optionally averaging over Gaussian disorder on the
-intraregister bonds.  Grid points are independent and are mapped in
+The sweep engine needs only those four elements of the full-chain
+propagator, and gets them from the eigenvalues alone (`register_elements`,
+the residue formula for a Jacobi matrix); the dense propagator is the
+reference it is tested against.  It evaluates them over a grid of coupling
+ratios, by default at t = tau, optionally averaging over Gaussian disorder
+on the intraregister bonds.  Grid points are independent and are mapped in
 parallel with deterministic result ordering.
 """
 
@@ -27,13 +30,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-from .model import ChainSpec, derive_parameters, build_full_coupling_matrix
-from .propagator import Propagator, eigendecompose, propagator_at
+from .model import CouplingMatrix, derive_parameters, build_full_coupling_matrix
+from .propagator import Propagator
 
 __all__ = [
     "RegisterElements",
     "extract_register_elements",
+    "register_elements",
     "pauli_transfer_terms",
     "f_dfs",
     "f_ndfs",
@@ -67,6 +72,56 @@ def extract_register_elements(prop: Propagator) -> RegisterElements:
     d = prop.entries
     return RegisterElements(d_r1l1=d[r1, l1], d_r2l2=d[r2, l2],
                             d_r1l2=d[r1, l2], d_r2l1=d[r2, l1])
+
+
+def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
+    """The four n = 2 register elements of exp(-i Omega t) from the eigenvalues alone.
+
+    For a Jacobi matrix (zero diagonal, bonds b_1..b_{M-1} on sites 1..M)
+    the residues of the resolvent give, for i <= j,
+
+        Delta_ij(t) = sum_k e^{-i lambda_k t} b_i...b_{j-1}
+                      theta_{i-1}(lambda_k) phi_{j+1}(lambda_k) / chi'(lambda_k),
+
+    where theta_k and phi_k are the characteristic polynomials of the
+    leading block up to site k and the trailing block from site k, and chi
+    that of Omega (Usmani, LAA 212/213, 1994).  At the register corners
+    theta_0 = phi_{M+1} = 1 and theta_1 = phi_M = lambda, so each element
+    is a spectral sum whose weights are lambda^p times a bond product over
+    chi'(lambda_k) = prod_{j != k} (lambda_k - lambda_j).  Both products are
+    summed as logs with their signs kept apart: chi'(lambda_k) has sign
+    (-1)^(M-1-k) for ascending lambda, and a disordered bond may be
+    negative.
+
+    No eigenvectors are formed; the cost is the O(M^2) log-differences.
+    Requires the labels L1, L2 at the start and R2, R1 at the end, a zero
+    diagonal and no zero bond (which would make eigenvalues degenerate).
+    """
+    if omega.site_labels[:2] != ("L1", "L2") or omega.site_labels[-2:] != ("R2", "R1"):
+        raise ValueError("register_elements needs the sites L1, L2, ..., R2, R1")
+    if np.any(np.diagonal(omega.entries)):
+        raise ValueError("register_elements needs a zero diagonal")
+    b = omega.offdiagonal()
+    if not np.all(b):
+        raise ValueError("register_elements needs every bond nonzero")
+    m = omega.order
+    lam = eigh_tridiagonal(np.zeros(m), b, eigvals_only=True)
+    gaps = np.abs(np.subtract.outer(lam, lam))
+    np.fill_diagonal(gaps, 1.0)
+    log_chi = np.log(gaps, out=gaps).sum(axis=1)      # log |chi'(lambda_k)|
+    # e^{-i lambda_k t} times the sign of chi'(lambda_k)
+    phases = np.exp(-1j * lam * t) * np.where((m - 1 - np.arange(m)) % 2, -1.0, 1.0)
+    log_b, sign_b = np.log(np.abs(b)), np.sign(b)
+
+    def element(first: int, stop: int, power: int) -> complex:
+        # bonds b[first:stop] (0-based) times lambda^power
+        weights = np.exp(log_b[first:stop].sum() - log_chi) * lam ** power
+        return np.prod(sign_b[first:stop]) * (weights @ phases)
+
+    # Delta_{R1,L1} = Delta_{1,M}, Delta_{R2,L2} = Delta_{2,M-1},
+    # Delta_{R1,L2} = Delta_{2,M}, Delta_{R2,L1} = Delta_{1,M-1}
+    return RegisterElements(d_r1l1=element(0, m - 1, 0), d_r2l2=element(1, m - 2, 2),
+                            d_r1l2=element(1, m - 1, 1), d_r2l1=element(0, m - 2, 1))
 
 
 def pauli_transfer_terms(e: RegisterElements) -> tuple[float, float, float]:
@@ -131,9 +186,13 @@ def default_ratio_grid(lo: float = 1e-3, hi: float = 1.0, steps: int = 40,
 
 
 def _worker_count(max_workers: int | None) -> int:
+    """Pool size: the argument, else QST_THREADS; unset, empty or <= 0 means one per core."""
     if max_workers is None:
-        env = os.environ.get("QST_THREADS", "0")
-        max_workers = int(env)
+        env = os.environ.get("QST_THREADS", "").strip()
+        try:
+            max_workers = int(env or 0)
+        except ValueError:
+            raise ValueError(f"QST_THREADS must be an integer, got {env!r}") from None
     if max_workers <= 0:
         max_workers = os.cpu_count() or 1
     return max_workers
@@ -158,7 +217,7 @@ def _point_fidelities(n: int, N: int, ratio: float, t_choice,
     acc = {enc: 0.0 for enc in encodings}
     for draw in draws:
         omega = build_full_coupling_matrix(spec, register_offdiag=draw)
-        elems = extract_register_elements(propagator_at(eigendecompose(omega), t))
+        elems = register_elements(omega, t)
         for enc in encodings:
             acc[enc] += f_dfs(elems) if enc == "dfs" else f_ndfs(elems)
     return [SweepRow(N=N, n=n, ratio=ratio, t=t, encoding=enc,
@@ -174,8 +233,12 @@ def sweep_fidelity(n: int, N_list, ratio_grid, t_choice="tau",
 
     Row order is deterministic: N outer, ratio inner ascending, dfs before
     ndfs.  Points are computed in parallel but results are keyed by grid
-    index, not completion order.
+    index, not completion order.  Only two-qubit registers (n = 2) are
+    supported: the fidelity formulas and `register_elements` are the n = 2
+    ones.
     """
+    if n != 2:
+        raise ValueError(f"the sweep evaluates the n = 2 fidelity formulas, got n = {n}")
     N_list = list(N_list)
     ratios = sorted(float(r) for r in ratio_grid)
     if not N_list or not ratios:

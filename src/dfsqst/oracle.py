@@ -471,7 +471,13 @@ def dephasing_protection_report(spec: ChainSpec, deph: DephasingModel, t: float,
     model at t = tau (|dn,dn> and |up,up> differ by 4 in s_z); its
     Monte-Carlo mean is compared against the Gaussian characteristic value
     exp(-8 sigma^2 t^2).
+
+    That prediction holds only at the transfer time (away from it the
+    decoded coherence is not the |dn,dn>/|up,up> phase alone), so t must
+    equal spec.tau to a relative 1e-9; any other t raises ValueError.
     """
+    if abs(t - spec.tau) > 1e-9 * spec.tau:
+        raise ValueError(f"the NDFS prediction holds only at t = tau = {spec.tau!r}, got t = {t!r}")
     lams = np.concatenate(([0.0], deph.draw()))  # row 0 is the undephased run
     omega = _coupling_for(spec, which)
     H = spin_hamiltonian_from_coupling(omega)

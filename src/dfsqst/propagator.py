@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from .model import ChainSpec, CouplingMatrix, build_effective_coupling_matrix
 
@@ -49,24 +49,18 @@ class Propagator:
     source: CouplingMatrix
 
 
-def _is_tridiagonal(m: np.ndarray) -> bool:
-    return not np.any(np.triu(m, 2))
-
-
 def eigendecompose(omega: CouplingMatrix) -> SpectralDecomposition:
     """Full spectral decomposition, eigenvalues ascending.
 
-    Raises numpy/scipy LinAlgError if the LAPACK iteration fails to
-    converge (its internal cap is ~30 sweeps per eigenvalue, which only
-    trips on pathological input).
+    Reads only the diagonal and first off-diagonal: a `CouplingMatrix` is
+    tridiagonal by construction.  Raises numpy/scipy LinAlgError if the
+    LAPACK iteration fails to converge (its internal cap is ~30 sweeps per
+    eigenvalue, which only trips on pathological input).
     """
     m = omega.entries
     if not np.all(np.isfinite(m)):
         raise ValueError("coupling matrix has non-finite entries")
-    if _is_tridiagonal(m):
-        w, v = eigh_tridiagonal(np.diag(m).astype(float), np.diag(m, 1).astype(float))
-    else:
-        w, v = eigh(m)
+    w, v = eigh_tridiagonal(np.diag(m).astype(float), np.diag(m, 1).astype(float))
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v, source=omega)
 
 

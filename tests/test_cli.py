@@ -68,6 +68,22 @@ class TestParseConfig:
             main(["verify", "--shots", "1"])
         assert exc.value.code == 2
 
+    def test_empty_qst_threads_means_unset(self, tmp_path, monkeypatch):
+        args = ["sweep", "--channel-lengths", "3", "--ratio-steps", "2", "--output"]
+        unset, empty = tmp_path / "unset.csv", tmp_path / "empty.csv"
+        monkeypatch.delenv("QST_THREADS", raising=False)
+        assert main(args + [str(unset)]) == 0
+        monkeypatch.setenv("QST_THREADS", "")
+        assert main(args + [str(empty)]) == 0
+        assert empty.read_bytes() == unset.read_bytes()
+
+    def test_non_integer_qst_threads_rejected(self, monkeypatch, capsys):
+        monkeypatch.setenv("QST_THREADS", "two")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--channel-lengths", "3", "--ratio-steps", "2"])
+        assert exc.value.code == 2
+        assert "QST_THREADS" in capsys.readouterr().err
+
     def test_config_file_unknown_key(self, tmp_path):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"bogus": 1}))

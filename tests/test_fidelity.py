@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dfsqst.model import derive_parameters, build_full_coupling_matrix
-from dfsqst.propagator import eigendecompose, propagator_at
+from dfsqst.model import (CouplingMatrix, derive_parameters, build_full_coupling_matrix,
+                          build_effective_coupling_matrix)
+from dfsqst.propagator import (closed_form_effective_elements, eigendecompose,
+                               propagator_at)
 from dfsqst.fidelity import (RegisterElements, extract_register_elements,
-                             pauli_transfer_terms, f_dfs, f_ndfs,
+                             register_elements, pauli_transfer_terms, f_dfs, f_ndfs,
                              DisorderSpec, sweep_fidelity, default_ratio_grid)
+
+ELEMENT_NAMES = ("d_r1l1", "d_r2l2", "d_r1l2", "d_r2l1")
 
 
 def elements(d11, d22, d12, d21):
@@ -73,6 +78,62 @@ class TestFidelityFormulas:
                 assert -1e-9 <= f <= 1 + 1e-9
 
 
+def dense_register_elements(omega, t):
+    return extract_register_elements(propagator_at(eigendecompose(omega), t))
+
+
+# relative factor on one intraregister bond, of either sign, as a disorder
+# draw reg * (1 + N(0, sigma)) with large sigma can give
+bond_factors = st.floats(-2.0, 2.0).filter(lambda f: abs(f) >= 0.05)
+
+
+class TestRegisterElements:
+    @settings(max_examples=80, deadline=None)
+    @given(N=st.integers(0, 100).map(lambda k: 2 * k + 1),
+           log_ratio=st.floats(-3.0, 0.0),
+           t_frac=st.floats(0.0, 2.0),
+           disorder=st.none() | st.tuples(bond_factors, bond_factors))
+    @example(N=1001, log_ratio=-3.0, t_frac=1.0, disorder=None)
+    @example(N=1001, log_ratio=-1.7, t_frac=0.37, disorder=(-0.8, 1.3))
+    @example(N=1001, log_ratio=0.0, t_frac=1.9, disorder=(0.4, -1.7))
+    def test_matches_dense_propagator(self, N, log_ratio, t_frac, disorder):
+        spec = derive_parameters(2, N, 1.0, 10.0 ** log_ratio)
+        draw = None
+        if disorder is not None:
+            g1 = spec.g_u[0]
+            draw = (np.array([g1 * disorder[0]]), np.array([g1 * disorder[1]]))
+        omega = build_full_coupling_matrix(spec, register_offdiag=draw)
+        t = t_frac * spec.tau
+        fast, dense = register_elements(omega, t), dense_register_elements(omega, t)
+        for name in ELEMENT_NAMES:
+            assert abs(getattr(fast, name) - getattr(dense, name)) <= 1e-10, name
+        assert abs(f_dfs(fast) - f_dfs(dense)) <= 1e-10
+        assert abs(f_ndfs(fast) - f_ndfs(dense)) <= 1e-10
+
+    def test_effective_chain_matches_closed_form(self):
+        spec = derive_parameters(2, 3, 1.0, 0.1)
+        omega = build_effective_coupling_matrix(spec)
+        for t in np.linspace(0.0, 2 * spec.tau, 50):
+            e = register_elements(omega, t)
+            c11, c22, c12 = closed_form_effective_elements(spec.g0, t)
+            # the effective chain is mirror symmetric, so Delta_R2L1 = Delta_R1L2
+            assert max(abs(e.d_r1l1 - c11), abs(e.d_r2l2 - c22),
+                       abs(e.d_r1l2 - c12), abs(e.d_r2l1 - c12)) <= 1e-12
+
+    def test_rejects_inputs_outside_the_formula(self):
+        with pytest.raises(ValueError, match="L1, L2"):
+            register_elements(build_full_coupling_matrix(derive_parameters(1, 3, 1.0, 0.1)), 1.0)
+        omega = build_full_coupling_matrix(derive_parameters(2, 3, 1.0, 0.1))
+        shifted = CouplingMatrix(order=omega.order, entries=omega.entries + np.eye(omega.order),
+                                 site_labels=omega.site_labels, kind="full")
+        with pytest.raises(ValueError, match="diagonal"):
+            register_elements(shifted, 1.0)
+        cut = build_full_coupling_matrix(derive_parameters(2, 3, 1.0, 0.1),
+                                         register_offdiag=(np.zeros(1), np.ones(1)))
+        with pytest.raises(ValueError, match="nonzero"):
+            register_elements(cut, 1.0)
+
+
 class TestSweep:
     def test_weak_coupling_near_perfect(self):
         res = sweep_fidelity(2, [3], [1e-4], encodings=("dfs",))
@@ -121,6 +182,13 @@ class TestSweep:
             sweep_fidelity(2, [4], [0.1])
         with pytest.raises(ValueError):
             sweep_fidelity(2, [3], [0.1], encodings=("bogus",))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rejects_register_size_other_than_2(self, n):
+        # the fidelity formulas and the corner elements are the n = 2 ones;
+        # n = 3 used to return F ~ 0.99998 from the n = 2 formulas
+        with pytest.raises(ValueError, match="n = 2"):
+            sweep_fidelity(n, [3], [0.1])
 
     def test_full_model_approaches_closed_form_value(self):
         # gap between the full-model fidelity at tau and the effective

@@ -331,6 +331,19 @@ class TestDephasingProtection:
         np.testing.assert_allclose(rep.per_shot_suppression,
                                    np.exp(4j * deph.draw() * spec.tau), rtol=0, atol=1e-12)
 
+    def test_time_other_than_tau_rejected(self):
+        # exp(-8 sigma^2 t^2) is the NDFS suppression at the transfer time
+        # only: with 200 shots at 0.37 tau the measured value is 1.001
+        # against a predicted 0.760, and at 0.5 tau 0.98 against 0.607
+        spec = derive_parameters(2, 5, 1.0, 0.1)
+        deph = DephasingModel(sigma_lambda=0.5 / spec.tau, samples=20, seed=42)
+        for frac in (0.37, 0.5, 1.0 + 1e-8):
+            with pytest.raises(ValueError, match="tau"):
+                dephasing_protection_report(spec, deph, frac * spec.tau)
+        # a tau computed along another route is accepted
+        rep = dephasing_protection_report(spec, deph, spec.tau * (1.0 + 1e-12))
+        assert rep.dfs_passed and rep.ndfs_passed
+
     def test_sigma_zero_leaves_both_unaffected(self):
         spec = derive_parameters(2, 3, 1.0, 0.1)
         deph = DephasingModel(sigma_lambda=0.0, samples=5, seed=1)
