@@ -6,7 +6,8 @@ Commands:
     oracle  brute-force many-body checks (swap phases, formula equivalence)
     phases  per-basis-state Jordan-Wigner phase table
 
-Exit codes: 0 success, 1 failed check or I/O error, 2 usage error.
+Exit codes: 0 success, 1 failed check, I/O error or non-finite sweep point,
+2 usage error.
 g_C is fixed to 1 in all runs; the ratio axis directly sets g_I.
 Configuration may come from a JSON file (--config); explicit flags win
 over file values, file values win over defaults.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -28,47 +30,36 @@ from .propagator import (closed_form_effective_elements, eigendecompose,
                          mirror_inversion_report, propagator_at)
 from .model import build_effective_coupling_matrix, build_full_coupling_matrix
 from .fidelity import (RegisterElements, _worker_count, default_ratio_grid,
-                       extract_register_elements, f_dfs, f_ndfs, sweep_fidelity)
+                       extract_register_elements, f_dfs, f_ndfs, register_elements,
+                       sweep_fidelity)
 from . import oracle as orc
 
 __all__ = ["RunConfig", "parse_config", "run_sweep", "run_verify",
            "run_oracle", "run_phases", "main"]
 
-_DEFAULTS = dict(
-    n=2,
-    channel_lengths=[101, 151, 201],
-    ratio_min=1e-3,
-    ratio_max=1.0,
-    ratio_steps=40,
-    linear=False,
-    encoding="both",
-    time="tau",
-    sigma_lambda=0.0,
-    shots=200,
-    seed=42,
-    output_path=None,
-    format="csv",
-    tolerance_scale=1.0,
-)
-
 
 @dataclasses.dataclass
 class RunConfig:
+    """Resolved options; each default also fixes the type an option's value must have."""
+
     command: str
-    n: int
-    channel_lengths: list[int]
-    ratio_min: float
-    ratio_max: float
-    ratio_steps: int
-    linear: bool
-    encoding: str
-    time: str | float
-    sigma_lambda: float
-    shots: int
-    seed: int
-    output_path: str | None
-    format: str
-    tolerance_scale: float
+    n: int = 2
+    channel_lengths: list[int] = dataclasses.field(default_factory=lambda: [101, 151, 201])
+    ratio_min: float = 1e-3
+    ratio_max: float = 1.0
+    ratio_steps: int = 40
+    linear: bool = False
+    encoding: str = "both"
+    time: str | float = "tau"
+    sigma_lambda: float = 0.0
+    shots: int = 200
+    seed: int = 42
+    output_path: str | None = None
+    format: str = "csv"
+    tolerance_scale: float = 1.0
+
+
+_DEFAULTS = {k: v for k, v in vars(RunConfig(command="")).items() if k != "command"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,6 +86,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _is_number(value, integer: bool = False) -> bool:
+    kinds = int if integer else (int, float)
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range is fine only where ints go
+        return integer
+
+
+def _valid(key: str, value) -> bool:
+    """Whether a flag or config value has its default's type and, if a number, is finite."""
+    default = _DEFAULTS[key]
+    if key == "time":
+        return value == "tau" or _is_number(value)
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_is_number(v, integer=True) for v in value)
+    if isinstance(default, (bool, str)):
+        return type(value) is type(default)
+    return _is_number(value, integer=isinstance(default, int))
+
+
 def parse_config(argv) -> RunConfig:
     parser = _build_parser()
     ns = parser.parse_args(argv)
@@ -106,6 +121,8 @@ def parse_config(argv) -> RunConfig:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config file: {exc}")
+        if not isinstance(file_cfg, dict):
+            parser.error("config file must hold a JSON object")
         unknown = set(file_cfg) - set(_DEFAULTS)
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
@@ -115,9 +132,17 @@ def parse_config(argv) -> RunConfig:
         if val is not None:
             merged[key] = val
 
+    if isinstance(merged["time"], str) and merged["time"] != "tau":
+        try:
+            merged["time"] = float(merged["time"])
+        except ValueError:
+            pass  # still a string, so rejected below
+    # validation; any violation is a usage error (exit 2)
+    for key, value in merged.items():
+        if not _valid(key, value):
+            parser.error(f"invalid {key} value {value!r}")
     cfg = RunConfig(command=ns.command, **merged)
 
-    # validation; any violation is a usage error (exit 2)
     if cfg.n < 1:
         parser.error("n must be >= 1")
     if cfg.command == "sweep":
@@ -134,21 +159,19 @@ def parse_config(argv) -> RunConfig:
             parser.error(f"channel length must be a positive odd integer, got {N}")
     if cfg.ratio_steps < 1:
         parser.error("ratio-steps must be >= 1")
-    if cfg.ratio_min <= 0 or (cfg.ratio_min >= cfg.ratio_max and cfg.ratio_steps > 1):
+    if (min(cfg.ratio_min, cfg.ratio_max) <= 0
+            or (cfg.ratio_min >= cfg.ratio_max and cfg.ratio_steps > 1)):
         parser.error("need 0 < ratio-min < ratio-max")
     if cfg.shots < 2:
         parser.error("shots must be >= 2 (the NDFS check needs a standard error)")
+    if cfg.seed < 0:
+        parser.error("seed must be >= 0")
     if cfg.sigma_lambda < 0:
         parser.error("sigma-lambda must be >= 0")
-    if cfg.format not in ("csv", "json"):
-        parser.error(f"unknown format {cfg.format!r}")
-    if cfg.time != "tau":
-        try:
-            cfg.time = float(cfg.time)
-        except (TypeError, ValueError):
-            parser.error(f"--time must be 'tau' or a number, got {cfg.time!r}")
-    if cfg.command == "phases" and cfg.n > 3:
-        parser.error("phases is capped at n = 3")
+    if cfg.encoding not in ("dfs", "ndfs", "both") or cfg.format not in ("csv", "json"):
+        parser.error(f"unknown encoding {cfg.encoding!r} or format {cfg.format!r}")
+    if cfg.command in ("oracle", "phases") and cfg.n > 3:
+        parser.error(f"{cfg.command} is capped at n = 3")
     return cfg
 
 
@@ -183,15 +206,19 @@ def _sweep_rows_text(rows, fmt: str) -> str:
         return "\n".join(lines) + "\n"
     objs = [{"N": r.N, "n": r.n, "ratio": r.ratio, "time": r.t,
              "encoding": r.encoding, "fidelity": r.fidelity} for r in rows]
-    return json.dumps(objs, indent=2) + "\n"
+    return json.dumps(objs, indent=2, allow_nan=False) + "\n"
 
 
 def run_sweep(cfg: RunConfig) -> int:
     grid = default_ratio_grid(cfg.ratio_min, cfg.ratio_max, cfg.ratio_steps,
                               log_spaced=not cfg.linear)
     encodings = ("dfs", "ndfs") if cfg.encoding == "both" else (cfg.encoding,)
-    result = sweep_fidelity(n=cfg.n, N_list=cfg.channel_lengths, ratio_grid=grid,
-                            t_choice=cfg.time, encodings=encodings)
+    try:
+        result = sweep_fidelity(n=cfg.n, N_list=cfg.channel_lengths, ratio_grid=grid,
+                                t_choice=cfg.time, encodings=encodings)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _write_output(_sweep_rows_text(result.rows, cfg.format), cfg.output_path)
     return 0
 
@@ -201,11 +228,11 @@ _ORACLE_SPEC = derive_parameters(2, 3, 1.0, 0.2)
 
 
 def _formula_vs_oracle_error(times) -> float:
-    """Largest |formula - many-body oracle| fidelity gap over both encodings."""
-    dec = eigendecompose(build_full_coupling_matrix(_ORACLE_SPEC))
+    """Largest |sweep engine - many-body oracle| fidelity gap over both encodings."""
+    omega = build_full_coupling_matrix(_ORACLE_SPEC)
     err = 0.0
     for t in map(float, times):
-        e = extract_register_elements(propagator_at(dec, t))
+        e = register_elements(omega, t)
         err = max(err,
                   abs(f_dfs(e) - orc.average_fidelity_bruteforce(_ORACLE_SPEC, "dfs", t)),
                   abs(f_ndfs(e) - orc.average_fidelity_bruteforce(_ORACLE_SPEC, "ndfs", t)))
@@ -282,8 +309,7 @@ def run_verify(cfg: RunConfig) -> int:
 
 
 def run_oracle(cfg: RunConfig) -> int:
-    n = min(cfg.n, 3)
-    swap = orc.effective_swap_check(n)
+    swap = orc.effective_swap_check(cfg.n)
     rng = np.random.default_rng(cfg.seed)
     err = _formula_vs_oracle_error(rng.uniform(0, 2 * _ORACLE_SPEC.tau, 4))
     report = {

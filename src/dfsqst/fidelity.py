@@ -94,14 +94,13 @@ def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
     negative.
 
     No eigenvectors are formed; the cost is the O(M^2) log-differences.
-    Requires the labels L1, L2 at the start and R2, R1 at the end, a zero
-    diagonal and no zero bond (which would make eigenvalues degenerate).
+    Requires the labels L1, L2 at the start and R2, R1 at the end and no
+    zero bond (which would make eigenvalues degenerate); the diagonal is
+    zero because a `CouplingMatrix` has none.
     """
     if omega.site_labels[:2] != ("L1", "L2") or omega.site_labels[-2:] != ("R2", "R1"):
         raise ValueError("register_elements needs the sites L1, L2, ..., R2, R1")
-    if np.any(np.diagonal(omega.entries)):
-        raise ValueError("register_elements needs a zero diagonal")
-    b = omega.offdiagonal()
+    b = omega.bonds
     if not np.all(b):
         raise ValueError("register_elements needs every bond nonzero")
     m = omega.order
@@ -218,8 +217,12 @@ def _point_fidelities(n: int, N: int, ratio: float, t_choice,
     for draw in draws:
         omega = build_full_coupling_matrix(spec, register_offdiag=draw)
         elems = register_elements(omega, t)
+        fids = {enc: f_dfs(elems) if enc == "dfs" else f_ndfs(elems) for enc in encodings}
+        # extreme ratios or times overflow the spectral sums
+        if not np.all(np.isfinite([*vars(elems).values(), *fids.values()])):
+            raise ValueError(f"non-finite result at N = {N}, ratio = {ratio!r}, t = {t!r}")
         for enc in encodings:
-            acc[enc] += f_dfs(elems) if enc == "dfs" else f_ndfs(elems)
+            acc[enc] += fids[enc]
     return [SweepRow(N=N, n=n, ratio=ratio, t=t, encoding=enc,
                      fidelity=acc[enc] / len(draws))
             for enc in encodings]

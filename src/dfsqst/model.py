@@ -12,8 +12,9 @@ with g_n tuned to the zero-mode coupling t_kappa.  That tuning makes the
 weak-coupling effective matrix equal to g0 * Jx for a pseudo spin J = n,
 which is what produces mirror inversion at tau = pi / g0.
 
-All matrices here are real symmetric tridiagonal with zero diagonal.  The
-site ordering [L1..Ln, c1..cN, Rn..R1] is fixed once here and every other
+Every coupling matrix here is real symmetric tridiagonal with zero
+diagonal, so `CouplingMatrix` stores just its M - 1 bonds.  The site
+ordering [L1..Ln, c1..cN, Rn..R1] is fixed once here and every other
 module indexes into it; in particular R1 is always the *last* index.
 """
 
@@ -66,15 +67,18 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Real symmetric tridiagonal single-particle matrix with site labels."""
+    """Zero-diagonal tridiagonal matrix; bonds[k] couples site_labels[k] and [k+1]."""
 
-    order: int
-    entries: np.ndarray
+    bonds: np.ndarray
     site_labels: tuple[str, ...]
-    kind: str  # "full" | "effective"
 
-    def offdiagonal(self) -> np.ndarray:
-        return np.diag(self.entries, 1).copy()
+    @property
+    def order(self) -> int:
+        return len(self.bonds) + 1
+
+    def dense(self) -> np.ndarray:
+        """The M x M symmetric matrix, for checks against dense linear algebra."""
+        return np.diag(self.bonds, 1) + np.diag(self.bonds, -1)
 
     def index_of(self, label: str) -> int:
         return self.site_labels.index(label)
@@ -84,7 +88,8 @@ def derive_parameters(n: int, N: int, g_C: float, g_I: float) -> ChainSpec:
     """Derive every coupling parameter from the four free inputs.
 
     Raises ValueError for even N (no zero-energy channel mode exists),
-    non-positive lengths, or non-positive couplings.
+    non-positive lengths, non-positive couplings, or a g_I so far from 1
+    that g0 or tau = pi/g0 leaves the floating-point range.
     """
     if n < 1:
         raise ValueError(f"register size must be >= 1, got {n}")
@@ -97,19 +102,12 @@ def derive_parameters(n: int, N: int, g_C: float, g_I: float) -> ChainSpec:
     # sin(kappa*pi/(N+1)) = sin(pi/2) = 1 for odd N; keep the formula literal
     t_kappa = float(g_I * np.sqrt(2.0 / (N + 1)) * np.sin(kappa * np.pi / (N + 1)))
     g0 = float(2.0 * t_kappa / np.sqrt(n * (n + 1)))
+    if not (0.0 < g0 < np.inf and np.pi / g0 < np.inf):
+        raise ValueError(f"g_I = {g_I!r} at N = {N} puts g0 = {g0!r} or tau = pi/g0 out of range")
     g_u = tuple(float(0.5 * g0 * np.sqrt(u * (2 * n - u + 1))) for u in range(1, n + 1))
     tau = float(np.pi / g0)
     return ChainSpec(n=n, N=N, g_C=g_C, g_I=g_I, kappa=kappa,
                      t_kappa=t_kappa, g0=g0, g_u=g_u, tau=tau)
-
-
-def _tridiagonal(offdiag: np.ndarray, labels: tuple[str, ...], kind: str) -> CouplingMatrix:
-    order = len(offdiag) + 1
-    m = np.zeros((order, order))
-    idx = np.arange(order - 1)
-    m[idx, idx + 1] = offdiag
-    m[idx + 1, idx] = offdiag
-    return CouplingMatrix(order=order, entries=m, site_labels=labels, kind=kind)
 
 
 def _register_labels(n: int) -> tuple[list[str], list[str]]:
@@ -139,7 +137,7 @@ def build_full_coupling_matrix(spec: ChainSpec,
     ])
     left, right = _register_labels(n)
     labels = tuple(left + [f"c{i}" for i in range(1, N + 1)] + right)
-    return _tridiagonal(off, labels, "full")
+    return CouplingMatrix(bonds=off, site_labels=labels)
 
 
 def build_effective_coupling_matrix(spec: ChainSpec) -> CouplingMatrix:
@@ -152,7 +150,7 @@ def build_effective_coupling_matrix(spec: ChainSpec) -> CouplingMatrix:
     off = np.concatenate([reg, [spec.t_kappa, spec.t_kappa], reg[::-1]])
     left, right = _register_labels(n)
     labels = tuple(left + ["kappa"] + right)
-    return _tridiagonal(off, labels, "effective")
+    return CouplingMatrix(bonds=off, site_labels=labels)
 
 
 def channel_spectrum(spec: ChainSpec) -> np.ndarray:
@@ -175,8 +173,4 @@ def jx_matrix(n: int) -> np.ndarray:
     """
     m = np.arange(-n, n)
     off = 0.5 * np.sqrt(n * (n + 1) - m * (m + 1))
-    jx = np.zeros((2 * n + 1, 2 * n + 1))
-    idx = np.arange(2 * n)
-    jx[idx, idx + 1] = off
-    jx[idx + 1, idx] = off
-    return jx
+    return np.diag(off, 1) + np.diag(off, -1)

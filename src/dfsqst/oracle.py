@@ -143,19 +143,17 @@ def build_spin_hamiltonian(spec: ChainSpec, which: str = "full") -> np.ndarray:
 def spin_hamiltonian_from_coupling(omega: CouplingMatrix) -> np.ndarray:
     """Many-body Hamiltonian whose single-excitation block is omega.
 
-    Only nearest-neighbor (tridiagonal) couplings are supported; longer
-    range hops would need explicit Jordan-Wigner strings in spin language.
+    Each bond becomes an XX hop between neighbouring spins; a longer-range
+    hop, which a `CouplingMatrix` cannot hold, would need explicit
+    Jordan-Wigner strings in spin language.
     """
     L = omega.order
     if L > MAX_SITES:
         raise ValueError(f"{L} sites exceeds the oracle cap of {MAX_SITES}")
-    if np.any(np.triu(omega.entries, 2)):
-        raise ValueError("coupling matrix must be tridiagonal")
-    off = omega.offdiagonal()
     dim = 1 << L
     H = np.zeros((dim, dim))
     s = np.arange(dim)
-    for b, g in enumerate(off):
+    for b, g in enumerate(omega.bonds):
         bi = (s >> b) & 1
         bj = (s >> (b + 1)) & 1
         hop = s[bi != bj]

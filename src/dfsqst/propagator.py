@@ -52,15 +52,15 @@ class Propagator:
 def eigendecompose(omega: CouplingMatrix) -> SpectralDecomposition:
     """Full spectral decomposition, eigenvalues ascending.
 
-    Reads only the diagonal and first off-diagonal: a `CouplingMatrix` is
-    tridiagonal by construction.  Raises numpy/scipy LinAlgError if the
-    LAPACK iteration fails to converge (its internal cap is ~30 sweeps per
+    Solves the zero-diagonal tridiagonal problem straight from the bonds a
+    `CouplingMatrix` stores; no dense matrix is formed.  Raises ValueError
+    for a non-finite bond, and numpy/scipy LinAlgError if the LAPACK
+    iteration fails to converge (its internal cap is ~30 sweeps per
     eigenvalue, which only trips on pathological input).
     """
-    m = omega.entries
-    if not np.all(np.isfinite(m)):
-        raise ValueError("coupling matrix has non-finite entries")
-    w, v = eigh_tridiagonal(np.diag(m).astype(float), np.diag(m, 1).astype(float))
+    if not np.all(np.isfinite(omega.bonds)):
+        raise ValueError("coupling matrix has non-finite bonds")
+    w, v = eigh_tridiagonal(np.zeros(omega.order), omega.bonds)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v, source=omega)
 
 

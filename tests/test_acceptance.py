@@ -181,7 +181,7 @@ def test_criterion_9_structural_invariants():
                 H * (pop[:, None] != pop[None, :])))))
             ones = 1 << np.arange(omega.order)
             block = max(block, float(np.max(np.abs(
-                H[np.ix_(ones, ones)] - omega.entries))))
+                H[np.ix_(ones, ones)] - omega.dense()))))
 
         vals = rng.normal(size=4) + 1j * rng.normal(size=4)
         e, flipped = RegisterElements(*vals), RegisterElements(*(-vals))

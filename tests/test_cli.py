@@ -1,9 +1,87 @@
+import argparse
+import csv
+import io
 import json
+import math
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dfsqst.cli import parse_config, run_sweep, run_verify, run_phases, main
+from dfsqst import cli
+from dfsqst.cli import _build_parser, parse_config, main
+from dfsqst.fidelity import RegisterElements
+
+
+def _option_values(action):
+    """Values of one option's own type, floats including nan, +-inf and extremes."""
+    if action.choices:
+        return st.sampled_from(action.choices)
+    if action.type is int:
+        # sizes kept small so that a valid sweep stays cheap
+        top = 4 if action.dest == "ratio_steps" else 21
+        return st.one_of(st.sampled_from([1, 2, 3]), st.integers(-3, top))
+    extremes = [0.0, -0.0, 5e-324, 1e-320, 1e-300, 1e-3, 0.5, 1.0, 1e300,
+                1.7976931348623157e308, -1.0, math.nan, math.inf, -math.inf]
+    floats = st.one_of(st.sampled_from(extremes), st.floats())
+    if action.dest == "time":
+        return st.one_of(st.just("tau"), st.just("soon"), floats)
+    return floats
+
+
+def _argv(command, required=()):
+    """(argv, config) pairs from the parser's own options of `command`.
+
+    argv holds the `required` flags and some others, with values of the
+    flag's type; config is a --config object whose values are of the
+    option's type or any JSON type.
+    """
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    options = {a.dest: a for a in sub._actions
+               if a.option_strings and a.dest not in ("help", "config", "output_path")}
+
+    def values(action):
+        if action.nargs == 0:
+            return st.booleans()
+        if action.nargs == "+":
+            return st.lists(_option_values(action), min_size=1, max_size=2)
+        return _option_values(action)
+
+    def flag(action):
+        if action.nargs == 0:
+            return st.just([action.option_strings[0]])
+        return values(action).map(lambda v: [action.option_strings[0], *map(
+            str, v if isinstance(v, list) else [v])])
+
+    others = sorted(set(options) - set(required))
+    flags = st.lists(st.sampled_from(others), unique=True, max_size=3).flatmap(
+        lambda dests: st.tuples(*(flag(options[d]) for d in [*required, *dests])))
+    junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 21), st.just(10 ** 400),
+                     st.floats(), st.text(max_size=3), st.lists(st.integers(-3, 21), max_size=3))
+    config = st.lists(st.sampled_from(sorted(options)), unique=True, max_size=2).flatmap(
+        lambda keys: st.fixed_dictionaries(
+            {k: st.one_of(values(options[k]), junk) for k in keys}))
+    return st.tuples(flags, config).map(
+        lambda fc: ([command] + [tok for f in fc[0] for tok in f], fc[1]))
+
+
+def _run(argv, config, call):
+    """Call `call(argv)` with `config` written to a --config file, output captured."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if config:
+            path = os.path.join(tmp, "run.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            argv = argv + ["--config", path]
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            try:
+                return call(argv), out.getvalue()
+            except SystemExit as exc:
+                return exc, out.getvalue()
 
 
 class TestParseConfig:
@@ -91,6 +169,45 @@ class TestParseConfig:
             parse_config(["sweep", "--config", str(cfg_file)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--ratio-min", "nan"],
+        ["sweep", "--ratio-max", "inf"],
+        ["sweep", "--ratio-steps", "1", "--ratio-max", "0"],
+        ["sweep", "--time", "nan", "--format", "json"],
+        ["verify", "--tolerance-scale", "nan"],
+        ["verify", "--sigma-lambda", "inf"],
+        ["verify", "--sigma-lambda", "nan"],
+        ["verify", "--seed", "-1"],
+    ])
+    def test_non_finite_or_out_of_range_flag_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("content", [
+        {"shots": "5"}, {"n": 2.0}, {"channel_lengths": 5}, {"linear": "no"},
+        {"time": "soon"}, {"encoding": "all"}, {"output_path": 5}, [1, 2],
+        {"time": 10 ** 400}, {"ratio_max": 10 ** 400},
+    ])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, content):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(content))
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["sweep", "--config", str(cfg_file)])
+        assert exc.value.code == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(args=st.sampled_from(["sweep", "verify", "oracle", "phases"]).flatmap(_argv))
+    def test_finite_config_or_usage_error(self, args):
+        cfg, _ = _run(*args, parse_config)
+        if isinstance(cfg, SystemExit):
+            assert cfg.code == 2
+            return
+        floats = [cfg.ratio_min, cfg.ratio_max, cfg.sigma_lambda, cfg.tolerance_scale]
+        if cfg.time != "tau":
+            floats.append(cfg.time)
+        assert all(math.isfinite(v) for v in floats)
+
 
 class TestSweepCommand:
     def test_default_grid_row_count(self, tmp_path):
@@ -163,6 +280,38 @@ class TestSweepCommand:
         assert sorted(os.listdir(tmp_path)) == ["s.csv", "taken"]
         assert os.listdir(target) == []
 
+    @pytest.mark.parametrize("ratios,bad", [
+        (["--ratio-min", "1e-320", "--ratio-max", "1e-300"], "g_I = 1e-320 at N = 3"),
+        (["--ratio-max", "1e300"], "at N = 3, ratio = 1e+300"),
+    ])
+    def test_out_of_range_point_exits_1_without_output(self, tmp_path, capsys, ratios, bad):
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--channel-lengths", "3", "--ratio-steps", "2",
+                   "--output", str(out), *ratios])
+        assert rc == 1
+        assert not out.exists()
+        assert bad in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(args=_argv("sweep", required=("channel_lengths", "ratio_steps")))
+    def test_strict_output_or_exit_1_or_2(self, args):
+        rc, text = _run(*args, main)
+        if isinstance(rc, SystemExit):
+            assert rc.code == 2
+            return
+        assert rc in (0, 1)
+        if rc == 1:
+            assert text == ""
+            return
+        if text.startswith("["):
+            def reject(token):
+                raise AssertionError(f"non-strict JSON constant {token}")
+            rows = json.loads(text, parse_constant=reject)
+        else:
+            rows = list(csv.DictReader(io.StringIO(text)))
+        assert rows
+        assert all(math.isfinite(float(r[k])) for r in rows for k in ("ratio", "time", "fidelity"))
+
     def test_io_failure_exits_1(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--channel-lengths", "3", "--ratio-steps", "2",
@@ -194,6 +343,18 @@ class TestVerifyCommand:
         assert report["overall_pass"] is False
 
 
+    def test_formula_vs_oracle_checks_the_sweep_engine(self, tmp_path, monkeypatch):
+        # break the engine the sweep runs: formula_vs_oracle fails, while the
+        # dense reference path keeps passing its own checks
+        monkeypatch.setattr(cli, "register_elements",
+                            lambda omega, t: RegisterElements(0j, 0j, 0j, 0j))
+        out = tmp_path / "report.json"
+        assert main(["verify", "--shots", "50", "--output", str(out)]) == 1
+        passed = {c["name"]: c["pass"] for c in json.loads(out.read_text())["checks"]}
+        assert passed.pop("formula_vs_oracle") is False
+        assert all(passed.values())
+
+
 class TestPhasesCommand:
     def test_n2_table(self, tmp_path):
         out = tmp_path / "phases.csv"
@@ -221,3 +382,9 @@ class TestOracleCommand:
         assert report["overall_pass"] is True
         assert report["swap_check"]["pass"] is True
         assert report["formula_vs_oracle"]["max_error"] <= 1e-8
+
+    def test_size_cap_is_usage_error(self):
+        # the effective swap check is capped like `phases`; n = 4 used to run as n = 3
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--n", "4"])
+        assert exc.value.code == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dfsqst.model import (CouplingMatrix, derive_parameters, build_full_coupling_matrix,
+from dfsqst.model import (derive_parameters, build_full_coupling_matrix,
                           build_effective_coupling_matrix)
 from dfsqst.propagator import (closed_form_effective_elements, eigendecompose,
                                propagator_at)
@@ -123,11 +123,6 @@ class TestRegisterElements:
     def test_rejects_inputs_outside_the_formula(self):
         with pytest.raises(ValueError, match="L1, L2"):
             register_elements(build_full_coupling_matrix(derive_parameters(1, 3, 1.0, 0.1)), 1.0)
-        omega = build_full_coupling_matrix(derive_parameters(2, 3, 1.0, 0.1))
-        shifted = CouplingMatrix(order=omega.order, entries=omega.entries + np.eye(omega.order),
-                                 site_labels=omega.site_labels, kind="full")
-        with pytest.raises(ValueError, match="diagonal"):
-            register_elements(shifted, 1.0)
         cut = build_full_coupling_matrix(derive_parameters(2, 3, 1.0, 0.1),
                                          register_offdiag=(np.zeros(1), np.ones(1)))
         with pytest.raises(ValueError, match="nonzero"):
@@ -189,6 +184,12 @@ class TestSweep:
         # n = 3 used to return F ~ 0.99998 from the n = 2 formulas
         with pytest.raises(ValueError, match="n = 2"):
             sweep_fidelity(n, [3], [0.1])
+
+    @pytest.mark.parametrize("ratio,t", [(1e300, "tau"), (0.1, np.inf)])
+    def test_rejects_non_finite_point(self, ratio, t):
+        # lambda^2 overflows at a huge ratio, e^{-i lambda t} at an infinite t
+        with pytest.raises(ValueError, match="non-finite result at N = 3"):
+            sweep_fidelity(2, [3], [ratio], t_choice=t)
 
     def test_full_model_approaches_closed_form_value(self):
         # gap between the full-model fidelity at tau and the effective

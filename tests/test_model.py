@@ -38,6 +38,9 @@ class TestDeriveParameters:
         dict(n=0, N=3, g_C=1.0, g_I=0.1),
         dict(n=2, N=3, g_C=0.0, g_I=0.1),
         dict(n=2, N=3, g_C=1.0, g_I=-0.5),
+        dict(n=2, N=3, g_C=1.0, g_I=5e-324),   # g0 underflows to 0
+        dict(n=2, N=3, g_C=1.0, g_I=1e-320),   # tau = pi/g0 overflows
+        dict(n=1, N=1, g_C=1.0, g_I=1.7e308),  # g0 overflows
     ])
     def test_rejects_invalid_input(self, kwargs):
         with pytest.raises(ValueError):
@@ -54,7 +57,7 @@ class TestFullCouplingMatrix:
         spec = derive_parameters(n=1, N=1, g_C=1.0, g_I=0.25)
         m = build_full_coupling_matrix(spec)
         assert m.order == 3
-        np.testing.assert_allclose(m.offdiagonal(), [spec.g_I, spec.g_I])
+        np.testing.assert_allclose(m.bonds, [spec.g_I, spec.g_I])
 
     def test_n2_N3_superdiagonal(self):
         spec = derive_parameters(n=2, N=3, g_C=1.0, g_I=0.1)
@@ -62,12 +65,12 @@ class TestFullCouplingMatrix:
         assert m.order == 7
         g1 = spec.g_u[0]
         np.testing.assert_allclose(
-            m.offdiagonal(), [g1, spec.g_I, spec.g_C, spec.g_C, spec.g_I, g1])
+            m.bonds, [g1, spec.g_I, spec.g_C, spec.g_C, spec.g_I, g1])
         assert m.site_labels == ("L1", "L2", "c1", "c2", "c3", "R2", "R1")
 
     @pytest.mark.parametrize("n,N", [(1, 3), (2, 5), (3, 7)])
     def test_structure(self, n, N):
-        m = build_full_coupling_matrix(derive_parameters(n, N, 1.0, 0.1)).entries
+        m = build_full_coupling_matrix(derive_parameters(n, N, 1.0, 0.1)).dense()
         np.testing.assert_array_equal(m, m.T)
         np.testing.assert_array_equal(np.diag(m), 0.0)
         # tridiagonal: zero beyond the first off-diagonal
@@ -79,23 +82,23 @@ class TestEffectiveCouplingMatrix:
         spec = derive_parameters(n=1, N=5, g_C=1.0, g_I=0.05)
         m = build_effective_coupling_matrix(spec)
         assert m.order == 3
-        np.testing.assert_allclose(m.offdiagonal(), [spec.t_kappa, spec.t_kappa])
+        np.testing.assert_allclose(m.bonds, [spec.t_kappa, spec.t_kappa])
 
     def test_n2_superdiagonal_is_spin2_ladder(self):
         spec = derive_parameters(n=2, N=3, g_C=1.0, g_I=0.1)
         m = build_effective_coupling_matrix(spec)
         expect = spec.g0 * np.array([1.0, np.sqrt(6) / 2, np.sqrt(6) / 2, 1.0])
-        np.testing.assert_allclose(m.offdiagonal(), expect, atol=1e-15)
+        np.testing.assert_allclose(m.bonds, expect, atol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equals_g0_jx(self, n):
         spec = derive_parameters(n=n, N=9, g_C=2.0, g_I=0.4)
         m = build_effective_coupling_matrix(spec)
-        np.testing.assert_allclose(m.entries, spec.g0 * jx_matrix(n), atol=1e-12)
+        np.testing.assert_allclose(m.dense(), spec.g0 * jx_matrix(n), atol=1e-12)
 
     def test_n2_eigenvalues(self):
         spec = derive_parameters(n=2, N=3, g_C=1.0, g_I=0.1)
-        w = np.linalg.eigvalsh(build_effective_coupling_matrix(spec).entries)
+        w = np.linalg.eigvalsh(build_effective_coupling_matrix(spec).dense())
         np.testing.assert_allclose(w, spec.g0 * np.arange(-2, 3), atol=1e-14)
 
 

@@ -16,8 +16,7 @@ from dfsqst.oracle import (MAX_SITES, OccupationPattern, DephasingModel,
 
 
 def single_bond(g):
-    m = np.array([[0.0, g], [g, 0.0]])
-    return CouplingMatrix(order=2, entries=m, site_labels=("a", "b"), kind="full")
+    return CouplingMatrix(bonds=np.array([g]), site_labels=("a", "b"))
 
 
 def total_sz_operator(L):
@@ -49,7 +48,7 @@ class TestSpinHamiltonian:
         L = omega.order
         idx = [1 << k for k in range(L)]
         block = H[np.ix_(idx, idx)]
-        np.testing.assert_allclose(block, omega.entries, atol=1e-14)
+        np.testing.assert_allclose(block, omega.dense(), atol=1e-14)
 
     def test_size_cap(self):
         spec = derive_parameters(2, 11, 1.0, 0.1)  # 15 sites
@@ -107,10 +106,8 @@ class TestEvolveState:
 
 
 def chain(offdiag):
-    L = len(offdiag) + 1
-    m = np.diag(offdiag, 1) + np.diag(offdiag, -1)
-    return CouplingMatrix(order=L, entries=m, site_labels=tuple(map(str, range(L))),
-                          kind="full")
+    return CouplingMatrix(bonds=np.asarray(offdiag),
+                          site_labels=tuple(map(str, range(len(offdiag) + 1))))
 
 
 class TestSectorEvolve:

@@ -9,8 +9,7 @@ from dfsqst.propagator import (eigendecompose, propagator_at,
 
 
 def two_site(g):
-    m = np.array([[0.0, g], [g, 0.0]])
-    return CouplingMatrix(order=2, entries=m, site_labels=("L1", "R1"), kind="full")
+    return CouplingMatrix(bonds=np.array([g]), site_labels=("L1", "R1"))
 
 
 def random_specs(count, seed=0):
@@ -33,8 +32,8 @@ class TestEigendecompose:
             d = eigendecompose(omega)
             v = d.eigenvectors
             recon = (v * d.eigenvalues) @ v.T
-            scale = max(1.0, np.max(np.abs(omega.entries)))
-            assert np.max(np.abs(recon - omega.entries)) <= 1e-10 * scale
+            scale = max(1.0, np.max(np.abs(omega.bonds)))
+            assert np.max(np.abs(recon - omega.dense())) <= 1e-10 * scale
             assert np.max(np.abs(v.T @ v - np.eye(omega.order))) <= 1e-10
             assert np.all(np.diff(d.eigenvalues) >= 0)
 
@@ -47,15 +46,13 @@ class TestEigendecompose:
         # with the register-channel bonds removed the spectrum is the union
         # of the register and channel spectra
         spec = derive_parameters(2, 5, 1.0, 0.3)
-        m = build_full_coupling_matrix(spec).entries.copy()
+        full = build_full_coupling_matrix(spec)
         n = spec.n
-        m[n - 1, n], m[n, n - 1] = 0.0, 0.0
-        m[-n, -n - 1], m[-n - 1, -n] = 0.0, 0.0
-        cut = CouplingMatrix(order=len(m), entries=m,
-                             site_labels=build_full_coupling_matrix(spec).site_labels,
-                             kind="full")
+        bonds = full.bonds.copy()
+        bonds[n - 1] = bonds[-n] = 0.0
+        cut = CouplingMatrix(bonds=bonds, site_labels=full.site_labels)
         w = eigendecompose(cut).eigenvalues
-        reg = np.linalg.eigvalsh(m[:n, :n])
+        reg = np.linalg.eigvalsh(cut.dense()[:n, :n])
         expected = np.sort(np.concatenate([reg, reg, channel_spectrum(spec)]))
         np.testing.assert_allclose(w, expected, atol=1e-12)
 
