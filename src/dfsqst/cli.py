@@ -7,7 +7,7 @@ Commands:
     phases  per-basis-state Jordan-Wigner phase table
 
 Exit codes: 0 success, 1 failed check, I/O error or non-finite sweep point,
-2 usage error.
+2 usage error (including a verify option value whose checks overflow).
 g_C is fixed to 1 in all runs; the ratio axis directly sets g_I.
 Configuration may come from a JSON file (--config); explicit flags win
 over file values, file values win over defaults.
@@ -245,6 +245,8 @@ def _verify_checks(cfg: RunConfig):
     checks = []
 
     def add(name, max_error, tolerance):
+        if not math.isfinite(tolerance):
+            raise ValueError(f"tolerance-scale {scale!r} makes the {name} tolerance overflow")
         checks.append({"name": name, "max_error": float(max_error),
                        "tolerance": float(tolerance),
                        "pass": bool(max_error <= tolerance)})
@@ -301,7 +303,11 @@ def _verify_checks(cfg: RunConfig):
 
 
 def run_verify(cfg: RunConfig) -> int:
-    checks = _verify_checks(cfg)
+    try:
+        checks = _verify_checks(cfg)
+    except ValueError as exc:  # an option value whose checks leave the float range
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     overall = all(c["pass"] for c in checks)
     report = {"checks": checks, "overall_pass": overall}
     _write_output(json.dumps(report, indent=2, allow_nan=False) + "\n", cfg.output_path)

@@ -96,7 +96,8 @@ def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
     No eigenvectors are formed; the cost is the O(M^2) log-differences.
     Requires the labels L1, L2 at the start and R2, R1 at the end and no
     zero bond (which would make eigenvalues degenerate); the diagonal is
-    zero because a `CouplingMatrix` has none.
+    zero because a `CouplingMatrix` has none.  Where the sums leave the float
+    range the elements come out inf or nan, silently; callers check.
     """
     if omega.site_labels[:2] != ("L1", "L2") or omega.site_labels[-2:] != ("R2", "R1"):
         raise ValueError("register_elements needs the sites L1, L2, ..., R2, R1")
@@ -105,22 +106,25 @@ def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
         raise ValueError("register_elements needs every bond nonzero")
     m = omega.order
     lam = eigh_tridiagonal(np.zeros(m), b, eigvals_only=True)
-    gaps = np.abs(np.subtract.outer(lam, lam))
-    np.fill_diagonal(gaps, 1.0)
-    log_chi = np.log(gaps, out=gaps).sum(axis=1)      # log |chi'(lambda_k)|
-    # e^{-i lambda_k t} times the sign of chi'(lambda_k)
-    phases = np.exp(-1j * lam * t) * np.where((m - 1 - np.arange(m)) % 2, -1.0, 1.0)
-    log_b, sign_b = np.log(np.abs(b)), np.sign(b)
+    # at extreme couplings or times the sums overflow: the caller gets a
+    # non-finite element rather than a warning
+    with np.errstate(all="ignore"):
+        gaps = np.abs(np.subtract.outer(lam, lam))
+        np.fill_diagonal(gaps, 1.0)
+        log_chi = np.log(gaps, out=gaps).sum(axis=1)      # log |chi'(lambda_k)|
+        # e^{-i lambda_k t} times the sign of chi'(lambda_k)
+        phases = np.exp(-1j * lam * t) * np.where((m - 1 - np.arange(m)) % 2, -1.0, 1.0)
+        log_b, sign_b = np.log(np.abs(b)), np.sign(b)
 
-    def element(first: int, stop: int, power: int) -> complex:
-        # bonds b[first:stop] (0-based) times lambda^power
-        weights = np.exp(log_b[first:stop].sum() - log_chi) * lam ** power
-        return np.prod(sign_b[first:stop]) * (weights @ phases)
+        def element(first: int, stop: int, power: int) -> complex:
+            # bonds b[first:stop] (0-based) times lambda^power
+            weights = np.exp(log_b[first:stop].sum() - log_chi) * lam ** power
+            return np.prod(sign_b[first:stop]) * (weights @ phases)
 
-    # Delta_{R1,L1} = Delta_{1,M}, Delta_{R2,L2} = Delta_{2,M-1},
-    # Delta_{R1,L2} = Delta_{2,M}, Delta_{R2,L1} = Delta_{1,M-1}
-    return RegisterElements(d_r1l1=element(0, m - 1, 0), d_r2l2=element(1, m - 2, 2),
-                            d_r1l2=element(1, m - 1, 1), d_r2l1=element(0, m - 2, 1))
+        # Delta_{R1,L1} = Delta_{1,M}, Delta_{R2,L2} = Delta_{2,M-1},
+        # Delta_{R1,L2} = Delta_{2,M}, Delta_{R2,L1} = Delta_{1,M-1}
+        return RegisterElements(d_r1l1=element(0, m - 1, 0), d_r2l2=element(1, m - 2, 2),
+                                d_r1l2=element(1, m - 1, 1), d_r2l1=element(0, m - 2, 1))
 
 
 def pauli_transfer_terms(e: RegisterElements) -> tuple[float, float, float]:

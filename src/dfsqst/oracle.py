@@ -2,11 +2,14 @@
 
 Everything in this module works on the full 2^L-dimensional state vector
 (L = total sites, hard cap 12) and makes no free-fermion assumption.  The
-XX Hamiltonian conserves total spin-z, so the one evolve core
-(``_evolve_sectors``) evolves a whole batch of states one popcount block
-of the dense many-body matrix at a time (block L - m reuses the
-eigenvectors of block m); ``evolve_state``, a full-matrix
-eigendecomposition, is kept as the dense reference that the core is
+XX Hamiltonian conserves total spin-z, and each hop flips the parity of
+the up spins on odd sites, so within a popcount sector it is a chiral
+block [[0, B], [B^T, 0]].  The one evolve core (``_evolve_sectors``)
+builds each rectangular B straight from the chain's bonds, takes its SVD
+and evolves a whole batch of states with real GEMMs (sector L - m reuses
+the SVD of sector m); it never forms the 2^L x 2^L matrix.
+``spin_hamiltonian_from_coupling`` and ``evolve_state``, a full-matrix
+eigendecomposition, are kept as the dense reference that the core is
 tested against.  The oracle is used to validate, by brute force, what
 the free-fermion engine claims:
 
@@ -128,10 +131,14 @@ class DephasingModel:
 
 def _coupling_for(spec: ChainSpec, which: str) -> CouplingMatrix:
     if which == "full":
-        return build_full_coupling_matrix(spec)
-    if which == "effective":
-        return build_effective_coupling_matrix(spec)
-    raise ValueError(f"which must be 'full' or 'effective', got {which!r}")
+        omega = build_full_coupling_matrix(spec)
+    elif which == "effective":
+        omega = build_effective_coupling_matrix(spec)
+    else:
+        raise ValueError(f"which must be 'full' or 'effective', got {which!r}")
+    if omega.order > MAX_SITES:
+        raise ValueError(f"{omega.order} sites exceeds the oracle cap of {MAX_SITES}")
+    return omega
 
 
 def build_spin_hamiltonian(spec: ChainSpec, which: str = "full") -> np.ndarray:
@@ -167,30 +174,59 @@ def evolve_state(H: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
     return V @ (np.exp(-1j * w * t) * (V.conj().T @ psi))
 
 
-def _evolve_sectors(H: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iHt) applied to every column of psi, one total-S_z sector at a time.
+def _evolve_sectors(bonds: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
+    """exp(-iHt) applied to every column of psi, H the XX chain of `bonds`,
+    one total-S_z sector at a time, without forming H.
 
-    H must conserve the number of up spins and be unchanged by a global spin
-    flip (H == H[::-1, ::-1]), as every XX Hamiltonian here is; the flip maps
-    sector L - m onto sector m in reversed basis order, so sector L - m reuses
-    the eigenvectors of sector m.  Every sector is evolved, touched or not, so
-    a call costs the same whatever the input.  V is real, so each product is
-    two real GEMMs rather than one complex GEMM that upcasts V.
+    Every hop moves one up spin between an odd and an even site, so it flips
+    the parity of the number of up spins on odd sites: in each sector H is
+    the chiral block [[0, B], [B^T, 0]] between the even- and odd-parity
+    states.  With the thin SVD B = U S W^T, exp(-iHt) sends (x_e, x_o) to
+
+        x_e + U [(cos St - 1) U^T x_e - i sin St W^T x_o],
+        x_o + W [(cos St - 1) W^T x_o - i sin St U^T x_e],
+
+    with cos St - 1 taken as -2 sin^2(St/2) so that small St loses no digits.
+    The global spin flip s -> 2^L - 1 - s leaves H unchanged and maps
+    sector m onto sector L - m, so sector L - m reuses U, S, W on the
+    flipped rows.  Every sector is evolved, touched or not, so a call costs
+    the same whatever the input.  U and W are real, so each product is one
+    real GEMM on the interleaved real and imaginary parts.
     """
-    L = len(H).bit_length() - 1
+    L = len(bonds) + 1
     pop = _popcounts(L)
-    top = len(H) - 1
-    out = np.zeros(psi.shape, dtype=complex)
+    top = (1 << L) - 1
+    odd_sites = sum(1 << k for k in range(1, L, 2))
+    parity = pop[np.arange(1 << L) & odd_sites] & 1
+    out = np.array(psi, dtype=complex)
     for m in range(L // 2 + 1):
-        idx = np.flatnonzero(pop == m)
-        w, V = np.linalg.eigh(H[np.ix_(idx, idx)])
-        phase = np.exp(-1j * w * t)[:, None]
+        even = np.flatnonzero((pop == m) & (parity == 0))
+        odd = np.flatnonzero((pop == m) & (parity == 1))
+        U, S, Wt = np.linalg.svd(_chiral_block(bonds, even, odd), full_matrices=False)
+        cos1 = (-2.0 * np.sin(S * t / 2) ** 2)[:, None]
+        sin = np.sin(S * t)[:, None]
         # keyed by sector, so the self-flipped middle sector of even L runs once
-        for rows, U in {m: (idx, V), L - m: ((top - idx)[::-1], V[::-1])}.values():
-            x = psi[rows]
-            c = (U.T @ x.real + 1j * (U.T @ x.imag)) * phase
-            out[rows] = U @ c.real + 1j * (U @ c.imag)
+        for e, o in {m: (even, odd), L - m: (top - even, top - odd)}.values():
+            ue, wo = _real_gemm(U.T, out[e]), _real_gemm(Wt, out[o])
+            out[e] += _real_gemm(U, cos1 * ue - 1j * sin * wo)
+            out[o] += _real_gemm(Wt.T, cos1 * wo - 1j * sin * ue)
     return out
+
+
+def _chiral_block(bonds: np.ndarray, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """B[i, j] = <even[i]| H |odd[j]> for H = sum_b bonds[b] (s+_b s-_{b+1} + h.c.)."""
+    row = np.zeros(1 << (len(bonds) + 1), dtype=int)
+    row[even] = np.arange(len(even))
+    B = np.zeros((len(even), len(odd)))
+    for b, g in enumerate(bonds):
+        hop = np.flatnonzero(((odd >> b) ^ (odd >> (b + 1))) & 1)
+        B[row[odd[hop] ^ (3 << b)], hop] = g
+    return B
+
+
+def _real_gemm(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for real A and C-contiguous complex x, as one real GEMM."""
+    return (A @ x.view(float)).view(complex)
 
 
 def jw_phase_prediction(p: OccupationPattern, n: int) -> int:
@@ -237,11 +273,10 @@ def phase_table(n: int, spec: ChainSpec | None = None, tol: float = 1e-8) -> lis
         raise ValueError("phase table capped at n = 3 (128 basis states)")
     if spec is None:
         spec = derive_parameters(n=n, N=3, g_C=1.0, g_I=0.1)
-    H = build_spin_hamiltonian(spec, "effective")
-    U = _evolve_sectors(H, np.eye(len(H)), spec.tau)
+    L = 2 * n + 1
+    U = _evolve_sectors(_coupling_for(spec, "effective").bonds, np.eye(1 << L), spec.tau)
 
     rows = []
-    L = 2 * n + 1
     for s in range(1 << L):
         p = OccupationPattern.from_basis_index(s, n)
         predicted = jw_phase_prediction(p, n)
@@ -364,7 +399,7 @@ def _default_target(encoding) -> str:
     return "z" if encoding == "ndfs" else "identity"
 
 
-def _run_pipeline(H: np.ndarray, encoding, t: float, channel_states, lams):
+def _run_pipeline(bonds: np.ndarray, encoding, t: float, channel_states, lams):
     """Prepare, encode on L, evolve, dephase and decode on R every
     (Pauli-axis input, channel basis state) run as one batch.
 
@@ -376,7 +411,7 @@ def _run_pipeline(H: np.ndarray, encoding, t: float, channel_states, lams):
     depend on lam and each rest-of-chain term of rho_01 picks up
     exp(-i lam t dz), dz = s_z(R1-down branch) - s_z(R1-up branch).
     """
-    L = len(H).bit_length() - 1
+    L = len(bonds) + 1
     prep, enc_perm, dec_perm = _codec_perms(L, encoding)
     base = np.tile((np.asarray(channel_states) << 2) | (prep << 1), len(PAULI_AXIS_STATES))
     inputs = np.repeat(np.array(PAULI_AXIS_STATES), len(channel_states), axis=0)
@@ -385,9 +420,13 @@ def _run_pipeline(H: np.ndarray, encoding, t: float, channel_states, lams):
     psi[base, runs] = inputs[:, 0]
     psi[base | 1, runs] = inputs[:, 1]
     # R1 is the most significant bit of the decoded basis index
-    q = _evolve_sectors(H, psi[enc_perm], t)[dec_perm].reshape(2, -1, len(runs))
     sz = _sz_values(L)[dec_perm].reshape(2, -1)
-    phases = np.exp(-1j * t * np.outer(lams, sz[0] - sz[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(-1j * t * np.outer(lams, sz[0] - sz[1]))
+    if not np.all(np.isfinite(phases)):
+        raise ValueError(f"dephasing phase lambda * t * dz overflows at t = {t!r}: "
+                         "sigma_lambda * t is beyond the float range")
+    q = _evolve_sectors(bonds, psi[enc_perm], t)[dec_perm].reshape(2, -1, len(runs))
     return inputs, np.sum(np.abs(q) ** 2, axis=1), phases @ (q[0] * np.conj(q[1]))
 
 
@@ -422,8 +461,6 @@ def average_fidelity_bruteforce(spec: ChainSpec, encoding, t: float,
     if spec.n != 2:
         raise ValueError("the encode/decode pipeline is defined for n = 2")
     omega = _coupling_for(spec, which)
-    H = spin_hamiltonian_from_coupling(omega)
-
     n_channel = omega.order - 4  # sites that are neither L nor R register
     if channel_init == "maximally-mixed":
         channel_states = np.arange(1 << n_channel)
@@ -439,7 +476,7 @@ def average_fidelity_bruteforce(spec: ChainSpec, encoding, t: float,
 
     lams = deph.draw() if deph is not None and deph.sigma_lambda > 0 else np.zeros(1)
     return float(np.mean(_mean_fidelities(
-        _run_pipeline(H, encoding, t, channel_states, lams), target)))
+        _run_pipeline(omega.bonds, encoding, t, channel_states, lams), target)))
 
 
 @dataclass(frozen=True)
@@ -478,19 +515,19 @@ def dephasing_protection_report(spec: ChainSpec, deph: DephasingModel, t: float,
         raise ValueError(f"the NDFS prediction holds only at t = tau = {spec.tau!r}, got t = {t!r}")
     lams = np.concatenate(([0.0], deph.draw()))  # row 0 is the undephased run
     omega = _coupling_for(spec, which)
-    H = spin_hamiltonian_from_coupling(omega)
     channel_states = np.arange(1 << (omega.order - 4))
 
-    f = _mean_fidelities(_run_pipeline(H, "dfs", t, channel_states, lams), "identity")
+    f = _mean_fidelities(_run_pipeline(omega.bonds, "dfs", t, channel_states, lams), "identity")
     dev = float(np.max(np.abs(f[1:] - f[0])))
 
     # NDFS coherence: |+> input (PAULI_AXIS_STATES[2]), coherence ratio per shot
     plus = slice(2 * len(channel_states), 3 * len(channel_states))
-    coh = _run_pipeline(H, "ndfs", t, channel_states, lams)[2][:, plus].mean(axis=1)
+    coh = _run_pipeline(omega.bonds, "ndfs", t, channel_states, lams)[2][:, plus].mean(axis=1)
     shots = coh[1:] / coh[0]
     measured = float(np.mean(shots.real))
     stderr = float(np.std(shots.real, ddof=1) / np.sqrt(len(shots)))
-    predicted = float(np.exp(-8.0 * deph.sigma_lambda ** 2 * t ** 2))
+    with np.errstate(over="ignore"):  # sigma^2 t^2 beyond the float range: predicted 0
+        predicted = float(np.exp(-8.0 * np.square(deph.sigma_lambda) * np.square(t)))
     ndfs_ok = abs(measured - predicted) <= 3.0 * stderr
 
     return DephasingProtectionReport(

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -312,6 +313,18 @@ class TestSweepCommand:
         assert rows
         assert all(math.isfinite(float(r[k])) for r in rows for k in ("ratio", "time", "fidelity"))
 
+    def test_overflowing_point_prints_only_the_error(self, capsys):
+        # the spectral sums overflow at this ratio; numpy stays silent and
+        # the one error line is all that reaches stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["sweep", "--channel-lengths", "3", "--ratio-steps", "2",
+                       "--ratio-max", "1e300"])
+        assert rc == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite result") and err.count("\n") == 1
+
     def test_io_failure_exits_1(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--channel-lengths", "3", "--ratio-steps", "2",
@@ -353,6 +366,45 @@ class TestVerifyCommand:
         passed = {c["name"]: c["pass"] for c in json.loads(out.read_text())["checks"]}
         assert passed.pop("formula_vs_oracle") is False
         assert all(passed.values())
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--sigma-lambda", "1e308", "--shots", "10"],
+        ["verify", "--tolerance-scale", "1.7976931348623157e308", "--shots", "2"],
+    ])
+    def test_overflowing_option_is_usage_error(self, tmp_path, capsys, argv):
+        # the dephasing phases lambda * t, or a tolerance, leave the float range
+        out = tmp_path / "report.json"
+        assert main(argv + ["--output", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_strong_dephasing_gives_finite_report(self, tmp_path):
+        # sigma^2 t^2 overflows but every phase is finite: predicted
+        # suppression 0, measured the mean of effectively random phases
+        out = tmp_path / "report.json"
+        assert main(["verify", "--sigma-lambda", "1e300", "--shots", "10",
+                     "--output", str(out)]) in (0, 1)
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert checks["dephasing_dfs_invariance"]["pass"] is True
+        assert math.isfinite(checks["dephasing_ndfs_suppression"]["max_error"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(args=st.sampled_from(["verify", "oracle"]).flatmap(_argv))
+    def test_strict_json_or_exit_1_or_2(self, args):
+        rc, text = _run(*args, main)
+        if isinstance(rc, SystemExit):
+            assert rc.code == 2
+            return
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert text == ""
+            return
+
+        def reject(token):
+            raise AssertionError(f"non-strict JSON constant {token}")
+        report = json.loads(text, parse_constant=reject)
+        assert isinstance(report["overall_pass"], bool)
+        assert report["overall_pass"] == (rc == 0)
 
 
 class TestPhasesCommand:

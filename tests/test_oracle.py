@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dfsqst import oracle
 from dfsqst.model import (CouplingMatrix, derive_parameters,
                           build_full_coupling_matrix, build_effective_coupling_matrix)
 from dfsqst.propagator import eigendecompose, propagator_at
@@ -112,33 +113,61 @@ def chain(offdiag):
 
 class TestSectorEvolve:
     @settings(max_examples=40, deadline=None)
-    @given(L=st.integers(2, 9), t=st.floats(0.0, 20.0), seed=st.integers(0, 2 ** 32 - 1))
+    @given(L=st.integers(2, 10), t=st.floats(0.0, 20.0), seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_dense_evolve_state(self, L, t, seed):
-        # disordered couplings; a batch whose columns span several sectors,
-        # with some sectors left empty; odd and even L cover the flipped
-        # sectors and the self-flipped middle sector
+        # signed disordered bonds with one negative and (L > 2) one zero
+        # bond; a batch whose columns span several sectors, with some
+        # sectors left empty; odd and even L cover the flipped sectors and
+        # the self-flipped middle sector
         rng = np.random.default_rng(seed)
-        H = spin_hamiltonian_from_coupling(chain(rng.uniform(0.1, 2.0, L - 1)))
+        bonds = rng.uniform(0.1, 2.0, L - 1) * rng.choice([-1.0, 1.0], L - 1)
+        k = rng.permutation(L - 1)
+        bonds[k[0]] = -abs(bonds[k[0]])
+        if L > 2:
+            bonds[k[1]] = 0.0
+        H = spin_hamiltonian_from_coupling(chain(bonds))
         pop = np.array([bin(s).count("1") for s in range(1 << L)])
-        psi = rng.normal(size=(1 << L, 4)) + 1j * rng.normal(size=(1 << L, 4))
+        psi = rng.normal(size=(1 << L, 3)) + 1j * rng.normal(size=(1 << L, 3))
         psi[np.isin(pop, rng.choice(L + 1, size=L // 2, replace=False))] = 0.0
         psi /= np.linalg.norm(psi, axis=0)
-        out = _evolve_sectors(H, psi, t)
+        out = _evolve_sectors(bonds, psi, t)
         for j in range(psi.shape[1]):
             np.testing.assert_allclose(out[:, j], evolve_state(H, psi[:, j], t),
                                        rtol=0, atol=1e-12)
 
     def test_same_work_for_every_input(self, monkeypatch):
-        # a call diagonalises sectors m <= L/2 whichever sectors the batch
-        # occupies, so its cost does not depend on the input states
-        H = spin_hamiltonian_from_coupling(chain(np.linspace(0.5, 1.5, 8)))
-        sizes, eigh = [], np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+        # a call decomposes the chiral blocks of sectors m <= L/2 whichever
+        # sectors the batch occupies, so its cost does not depend on the
+        # input states; at L = 9 (sites 1, 3, 5, 7 odd) sector m splits into
+        # even- and odd-parity states as 1+0, 5+4, 16+20, 40+44, 66+60
+        bonds = np.linspace(0.5, 1.5, 8)
+        shapes, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
         for s in (0, 0b111, (1 << 9) - 1):
             psi = np.zeros((1 << 9, 1), dtype=complex)
             psi[s] = 1.0
-            _evolve_sectors(H, psi, 1.0)
-        assert sizes == [1, 9, 36, 84, 126] * 3
+            _evolve_sectors(bonds, psi, 1.0)
+        assert shapes == [(1, 0), (5, 4), (16, 20), (40, 44), (66, 60)] * 3
+
+    def test_pipeline_builds_no_dense_hamiltonian(self, monkeypatch):
+        # the oracle entry points evolve through the sector blocks only
+        def dense(omega):
+            raise AssertionError("dense 2^L x 2^L Hamiltonian built")
+        monkeypatch.setattr(oracle, "spin_hamiltonian_from_coupling", dense)
+        spec = derive_parameters(2, 3, 1.0, 0.2)
+        deph = DephasingModel(sigma_lambda=0.5 / spec.tau, samples=10, seed=1)
+        assert average_fidelity_bruteforce(spec, "dfs", spec.tau, deph=deph) > 0.9
+        assert dephasing_protection_report(spec, deph, spec.tau).dfs_passed
+        assert all(r.match for r in phase_table(2))
+
+    def test_size_cap_on_pipeline_entry_points(self):
+        spec = derive_parameters(2, 9, 1.0, 0.1)  # 13 sites
+        deph = DephasingModel(sigma_lambda=0.1, samples=5)
+        with pytest.raises(ValueError, match="cap"):
+            average_fidelity_bruteforce(spec, "dfs", spec.tau)
+        with pytest.raises(ValueError, match="cap"):
+            dephasing_protection_report(spec, deph, spec.tau, which="full")
 
 
 def dense_average_fidelity(spec, encoding, t, deph=None, target="identity"):
