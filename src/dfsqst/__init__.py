@@ -9,8 +9,8 @@ from .propagator import (SpectralDecomposition, Propagator, eigendecompose,
                          mirror_inversion_report)
 from .fidelity import (RegisterElements, extract_register_elements,
                        register_elements, pauli_transfer_terms, f_dfs, f_ndfs,
-                       SweepRow, SweepResult, DisorderSpec,
-                       sweep_fidelity, default_ratio_grid)
+                       SweepRow, SweepResult, sweep_fidelity,
+                       default_ratio_grid)
 from .oracle import (OccupationPattern, DephasingModel, build_spin_hamiltonian,
                      evolve_state, jw_phase_prediction, effective_swap_check,
                      encode_cnot, apply_collective_dephasing,

@@ -26,12 +26,11 @@ import tempfile
 import numpy as np
 
 from .model import derive_parameters
-from .propagator import (closed_form_effective_elements, eigendecompose,
+from .propagator import (MIRROR_TOL, closed_form_effective_elements, eigendecompose,
                          mirror_inversion_report, propagator_at)
 from .model import build_effective_coupling_matrix, build_full_coupling_matrix
-from .fidelity import (RegisterElements, _worker_count, default_ratio_grid,
-                       extract_register_elements, f_dfs, f_ndfs, register_elements,
-                       sweep_fidelity)
+from .fidelity import (RegisterElements, default_ratio_grid, extract_register_elements,
+                       f_dfs, f_ndfs, register_elements, sweep_fidelity)
 from . import oracle as orc
 
 __all__ = ["RunConfig", "parse_config", "run_sweep", "run_verify",
@@ -145,13 +144,8 @@ def parse_config(argv) -> RunConfig:
 
     if cfg.n < 1:
         parser.error("n must be >= 1")
-    if cfg.command == "sweep":
-        if cfg.n != 2:
-            parser.error("sweep evaluates the n = 2 fidelity formulas; n must be 2")
-        try:
-            _worker_count(None)  # reads QST_THREADS
-        except ValueError as exc:
-            parser.error(str(exc))
+    if cfg.command == "sweep" and cfg.n != 2:
+        parser.error("sweep evaluates the n = 2 fidelity formulas; n must be 2")
     if not cfg.channel_lengths:
         parser.error("channel length list must not be empty")
     for N in cfg.channel_lengths:
@@ -254,7 +248,7 @@ def _verify_checks(cfg: RunConfig):
     # mirror inversion, n = 1..4
     err = max(mirror_inversion_report(derive_parameters(nn, 3, 1.0, 0.1)).max_error
               for nn in (1, 2, 3, 4))
-    add("mirror_inversion", err, 1e-10 * scale)
+    add("mirror_inversion", err, MIRROR_TOL * scale)
 
     # closed-form elements, n = 2 effective, 1000 times in [0, 2 tau]
     spec = derive_parameters(2, 3, 1.0, 0.1)
@@ -295,10 +289,10 @@ def _verify_checks(cfg: RunConfig):
     rep = orc.dephasing_protection_report(
         sp, orc.DephasingModel(sigma_lambda=sigma, samples=cfg.shots, seed=cfg.seed),
         sp.tau)
-    add("dephasing_dfs_invariance", rep.dfs_max_deviation, 1e-10 * scale)
+    add("dephasing_dfs_invariance", rep.dfs_max_deviation, orc.DFS_TOL * scale)
     add("dephasing_ndfs_suppression",
         abs(rep.ndfs_measured_suppression - rep.ndfs_predicted_suppression),
-        3.0 * rep.ndfs_stderr * scale)
+        rep.ndfs_tolerance * scale)
     return checks
 
 

@@ -18,9 +18,9 @@ The sweep engine needs only those four elements of the full-chain
 propagator, and gets them from the eigenvalues alone (`register_elements`,
 the residue formula for a Jacobi matrix); the dense propagator is the
 reference it is tested against.  It evaluates them over a grid of coupling
-ratios, by default at t = tau, optionally averaging over Gaussian disorder
-on the intraregister bonds.  Grid points are independent and are mapped in
-parallel with deterministic result ordering.
+ratios, by default at t = tau.  Grid points are independent; a grid whose
+largest chain reaches `POOL_MIN_ORDER` sites is mapped over one thread per
+core, a smaller one serially, with the same result ordering either way.
 """
 
 from __future__ import annotations
@@ -44,10 +44,20 @@ __all__ = [
     "f_ndfs",
     "SweepRow",
     "SweepResult",
-    "DisorderSpec",
     "sweep_fidelity",
     "default_ratio_grid",
 ]
+
+# Smallest chain order (sites, N + 2n) at which a sweep maps its points over
+# a thread pool.  The eigenvalue solve (eigh_tridiagonal) holds the GIL: at
+# order 1005, 2 threads x 10 calls take as long as 20 serial calls (~0.42 s)
+# and the solve is ~21 of the ~34 ms a point takes, so only the numpy
+# gap-matrix work overlaps.  Measured on a 2-core host: the N = 1001 sweep
+# (order 1005) took 0.32-0.36 s serial against 0.28-0.32 s pooled, while on
+# the README default grid (orders 105-205) the pool costs more than it saves,
+# 0.15-0.27 s pooled against 0.12-0.14 s serial.  500 lies between the two;
+# measured in between, the crossover moves with the host's load.
+POOL_MIN_ORDER = 500
 
 
 @dataclass(frozen=True)
@@ -90,8 +100,7 @@ def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
     is a spectral sum whose weights are lambda^p times a bond product over
     chi'(lambda_k) = prod_{j != k} (lambda_k - lambda_j).  Both products are
     summed as logs with their signs kept apart: chi'(lambda_k) has sign
-    (-1)^(M-1-k) for ascending lambda, and a disordered bond may be
-    negative.
+    (-1)^(M-1-k) for ascending lambda, and a bond may be negative.
 
     No eigenvectors are formed; the cost is the O(M^2) log-differences.
     Requires the labels L1, L2 at the start and R2, R1 at the end and no
@@ -162,15 +171,6 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-@dataclass(frozen=True)
-class DisorderSpec:
-    """Relative Gaussian disorder on the intraregister couplings."""
-
-    sigma_rel: float
-    seed: int
-    samples: int
-
-
 def default_ratio_grid(lo: float = 1e-3, hi: float = 1.0, steps: int = 40,
                        log_spaced: bool = True) -> np.ndarray:
     """Ratio grid, pre-rounded to 15 significant digits so that the CSV
@@ -188,61 +188,29 @@ def default_ratio_grid(lo: float = 1e-3, hi: float = 1.0, steps: int = 40,
     return np.array([float(f"{r:.14e}") for r in grid])
 
 
-def _worker_count(max_workers: int | None) -> int:
-    """Pool size: the argument, else QST_THREADS; unset, empty or <= 0 means one per core."""
-    if max_workers is None:
-        env = os.environ.get("QST_THREADS", "").strip()
-        try:
-            max_workers = int(env or 0)
-        except ValueError:
-            raise ValueError(f"QST_THREADS must be an integer, got {env!r}") from None
-    if max_workers <= 0:
-        max_workers = os.cpu_count() or 1
-    return max_workers
-
-
 def _point_fidelities(n: int, N: int, ratio: float, t_choice,
-                      encodings: tuple[str, ...],
-                      disorder: DisorderSpec | None,
-                      point_index: int) -> list[SweepRow]:
+                      encodings: tuple[str, ...]) -> list[SweepRow]:
     spec = derive_parameters(n=n, N=N, g_C=1.0, g_I=ratio)
     t = float(spec.tau) if t_choice == "tau" else float(t_choice)
-
-    if disorder is None or disorder.sigma_rel == 0.0:
-        draws = [None]
-    else:
-        rng = np.random.default_rng([disorder.seed, point_index])
-        reg = np.asarray(spec.g_u[:n - 1])
-        draws = [(reg * (1.0 + rng.normal(0.0, disorder.sigma_rel, n - 1)),
-                  reg * (1.0 + rng.normal(0.0, disorder.sigma_rel, n - 1)))
-                 for _ in range(disorder.samples)]
-
-    acc = {enc: 0.0 for enc in encodings}
-    for draw in draws:
-        omega = build_full_coupling_matrix(spec, register_offdiag=draw)
-        elems = register_elements(omega, t)
-        fids = {enc: f_dfs(elems) if enc == "dfs" else f_ndfs(elems) for enc in encodings}
-        # extreme ratios or times overflow the spectral sums
-        if not np.all(np.isfinite([*vars(elems).values(), *fids.values()])):
-            raise ValueError(f"non-finite result at N = {N}, ratio = {ratio!r}, t = {t!r}")
-        for enc in encodings:
-            acc[enc] += fids[enc]
-    return [SweepRow(N=N, n=n, ratio=ratio, t=t, encoding=enc,
-                     fidelity=acc[enc] / len(draws))
-            for enc in encodings]
+    elems = register_elements(build_full_coupling_matrix(spec), t)
+    fids = [f_dfs(elems) if enc == "dfs" else f_ndfs(elems) for enc in encodings]
+    # extreme ratios or times overflow the spectral sums
+    if not np.all(np.isfinite([*vars(elems).values(), *fids])):
+        raise ValueError(f"non-finite result at N = {N}, ratio = {ratio!r}, t = {t!r}")
+    return [SweepRow(N=N, n=n, ratio=ratio, t=t, encoding=enc, fidelity=f)
+            for enc, f in zip(encodings, fids)]
 
 
 def sweep_fidelity(n: int, N_list, ratio_grid, t_choice="tau",
-                   encodings: tuple[str, ...] = ("dfs", "ndfs"),
-                   disorder: DisorderSpec | None = None,
-                   max_workers: int | None = None) -> SweepResult:
+                   encodings: tuple[str, ...] = ("dfs", "ndfs")) -> SweepResult:
     """Fidelity over the (N, ratio) grid at g_C = 1.
 
     Row order is deterministic: N outer, ratio inner ascending, dfs before
-    ndfs.  Points are computed in parallel but results are keyed by grid
-    index, not completion order.  Only two-qubit registers (n = 2) are
-    supported: the fidelity formulas and `register_elements` are the n = 2
-    ones.
+    ndfs.  When the largest chain has at least `POOL_MIN_ORDER` sites the
+    points are mapped over one thread per core, with results keyed by grid
+    index, not completion order; otherwise they run serially.  Only
+    two-qubit registers (n = 2) are supported: the fidelity formulas and
+    `register_elements` are the n = 2 ones.
     """
     if n != 2:
         raise ValueError(f"the sweep evaluates the n = 2 fidelity formulas, got n = {n}")
@@ -258,15 +226,13 @@ def sweep_fidelity(n: int, N_list, ratio_grid, t_choice="tau",
             raise ValueError(f"unknown encoding {enc!r}")
 
     points = [(N, r) for N in N_list for r in ratios]
-    workers = _worker_count(max_workers)
 
-    def task(item):
-        idx, (N, r) = item
-        return _point_fidelities(n, N, r, t_choice, encodings, disorder, idx)
+    def task(point):
+        return _point_fidelities(n, *point, t_choice, encodings)
 
-    if workers == 1:
-        chunks = [task(p) for p in enumerate(points)]
+    if max(N_list) + 2 * n < POOL_MIN_ORDER:
+        chunks = list(map(task, points))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(task, enumerate(points)))
+        with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+            chunks = list(pool.map(task, points))
     return SweepResult(rows=tuple(row for chunk in chunks for row in chunk))

@@ -116,25 +116,11 @@ def _register_labels(n: int) -> tuple[list[str], list[str]]:
     return left, right
 
 
-def build_full_coupling_matrix(spec: ChainSpec,
-                               register_offdiag: np.ndarray | None = None) -> CouplingMatrix:
-    """(N+2n) x (N+2n) coupling matrix in the ordering [L1..Ln, c1..cN, Rn..R1].
-
-    `register_offdiag` optionally overrides the left/right intraregister
-    bonds (length n-1 each); used by the disorder knob in the sweep engine.
-    """
+def build_full_coupling_matrix(spec: ChainSpec) -> CouplingMatrix:
+    """(N+2n) x (N+2n) coupling matrix in the ordering [L1..Ln, c1..cN, Rn..R1]."""
     n, N = spec.n, spec.N
     reg = np.asarray(spec.g_u[:n - 1])
-    left_reg = right_reg = reg
-    if register_offdiag is not None:
-        left_reg, right_reg = register_offdiag
-    off = np.concatenate([
-        left_reg,
-        [spec.g_I],
-        np.full(N - 1, spec.g_C),
-        [spec.g_I],
-        right_reg[::-1],
-    ])
+    off = np.concatenate([reg, [spec.g_I], np.full(N - 1, spec.g_C), [spec.g_I], reg[::-1]])
     left, right = _register_labels(n)
     labels = tuple(left + [f"c{i}" for i in range(1, N + 1)] + right)
     return CouplingMatrix(bonds=off, site_labels=labels)

@@ -70,6 +70,11 @@ __all__ = [
 
 MAX_SITES = 12
 
+# Largest amplitude error a basis state of the swap check passes with, and
+# largest per-shot DFS fidelity deviation the dephasing report passes with.
+SWAP_TOL = 1e-8
+DFS_TOL = 1e-10
+
 # Six Pauli-axis states: exact 2-design average for qubit channels.
 PAULI_AXIS_STATES = tuple(
     np.array(v, dtype=complex) / np.linalg.norm(v)
@@ -263,16 +268,16 @@ class PhaseRow:
     match: bool
 
 
-def phase_table(n: int, spec: ChainSpec | None = None, tol: float = 1e-8) -> list[PhaseRow]:
+def phase_table(n: int) -> list[PhaseRow]:
     """Brute-force check of jw_phase_prediction for every basis state.
 
-    Evolves each occupation basis state of the effective model for tau and
-    compares against predicted_sign * (register-swapped state).
+    Evolves each occupation basis state of the effective model (N = 3,
+    g_I/g_C = 0.1) for tau and compares against predicted_sign *
+    (register-swapped state).
     """
     if n > 3:
         raise ValueError("phase table capped at n = 3 (128 basis states)")
-    if spec is None:
-        spec = derive_parameters(n=n, N=3, g_C=1.0, g_I=0.1)
+    spec = derive_parameters(n=n, N=3, g_C=1.0, g_I=0.1)
     L = 2 * n + 1
     U = _evolve_sectors(_coupling_for(spec, "effective").bonds, np.eye(1 << L), spec.tau)
 
@@ -287,7 +292,7 @@ def phase_table(n: int, spec: ChainSpec | None = None, tol: float = 1e-8) -> lis
         expected[s_swap] = predicted
         dev = float(np.max(np.abs(col - expected)))
         rows.append(PhaseRow(pattern=p, predicted=predicted, measured=measured,
-                             deviation=dev, match=dev <= tol))
+                             deviation=dev, match=dev <= SWAP_TOL))
     return rows
 
 
@@ -299,10 +304,9 @@ class SwapCheckReport:
     passed: bool
 
 
-def effective_swap_check(n: int, spec: ChainSpec | None = None,
-                         tol: float = 1e-8) -> SwapCheckReport:
+def effective_swap_check(n: int) -> SwapCheckReport:
     """Per-basis-state check that U_eff(tau) = Gamma * (SWAP_{L,R} x I_kappa)."""
-    rows = phase_table(n, spec=spec, tol=tol)
+    rows = phase_table(n)
     max_err = max(r.deviation for r in rows)
     bad = tuple(r.pattern.basis_index() for r in rows if not r.match)
     return SwapCheckReport(n=n, max_amplitude_error=max_err,
@@ -488,13 +492,13 @@ class DephasingProtectionReport:
     ndfs_measured_suppression: float
     ndfs_predicted_suppression: float
     ndfs_stderr: float
+    ndfs_tolerance: float
     ndfs_passed: bool
     per_shot_suppression: np.ndarray = field(repr=False, default=None)
 
 
 def dephasing_protection_report(spec: ChainSpec, deph: DephasingModel, t: float,
-                                which: str = "effective",
-                                dfs_tol: float = 1e-10) -> DephasingProtectionReport:
+                                which: str = "effective") -> DephasingProtectionReport:
     """DFS invariance and NDFS coherence suppression under collective dephasing.
 
     (a) DFS: the fidelity is evaluated per dephasing shot; the max deviation
@@ -505,7 +509,8 @@ def dephasing_protection_report(spec: ChainSpec, deph: DephasingModel, t: float,
     equals the per-shot factor exp(+4 i lambda t) exactly for the effective
     model at t = tau (|dn,dn> and |up,up> differ by 4 in s_z); its
     Monte-Carlo mean is compared against the Gaussian characteristic value
-    exp(-8 sigma^2 t^2).
+    exp(-8 sigma^2 t^2), to within 3 standard errors plus a few float
+    epsilons (`ndfs_tolerance`).
 
     That prediction holds only at the transfer time (away from it the
     decoded coherence is not the |dn,dn>/|up,up> phase alone), so t must
@@ -528,13 +533,18 @@ def dephasing_protection_report(spec: ChainSpec, deph: DephasingModel, t: float,
     stderr = float(np.std(shots.real, ddof=1) / np.sqrt(len(shots)))
     with np.errstate(over="ignore"):  # sigma^2 t^2 beyond the float range: predicted 0
         predicted = float(np.exp(-8.0 * np.square(deph.sigma_lambda) * np.square(t)))
-    ndfs_ok = abs(measured - predicted) <= 3.0 * stderr
+    # Shot values near 1 are spaced eps/2 apart.  A spread below that spacing
+    # rounds away and stderr reads ~0, yet the shot mean and the predicted
+    # value still differ by a few roundings (up to 2.8 eps seen near
+    # sigma * t = 2e-8), so 4 eps is allowed on top of 3 standard errors.
+    tolerance = float(3.0 * stderr + 4.0 * np.finfo(float).eps)
 
     return DephasingProtectionReport(
         sigma_lambda=deph.sigma_lambda, t=t,
-        dfs_max_deviation=dev, dfs_passed=dev <= dfs_tol,
+        dfs_max_deviation=dev, dfs_passed=dev <= DFS_TOL,
         ndfs_measured_suppression=measured,
         ndfs_predicted_suppression=predicted,
-        ndfs_stderr=stderr, ndfs_passed=ndfs_ok,
+        ndfs_stderr=stderr, ndfs_tolerance=tolerance,
+        ndfs_passed=abs(measured - predicted) <= tolerance,
         per_shot_suppression=shots,
     )

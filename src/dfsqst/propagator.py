@@ -81,6 +81,10 @@ def closed_form_effective_elements(g0: float, t: float) -> tuple[complex, comple
     return d_r1l1, d_r2l2, d_r1l2
 
 
+# largest |Delta_eff(tau) - (-1)^n E| entry a mirror inversion passes with
+MIRROR_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class MirrorInversionReport:
     n: int
@@ -89,10 +93,10 @@ class MirrorInversionReport:
     passed: bool
 
 
-def mirror_inversion_report(spec: ChainSpec, tol: float = 1e-10) -> MirrorInversionReport:
+def mirror_inversion_report(spec: ChainSpec) -> MirrorInversionReport:
     """Check Delta_eff(tau) = (-1)^n E with E the antidiagonal exchange matrix."""
     omega = build_effective_coupling_matrix(spec)
     delta = propagator_at(eigendecompose(omega), spec.tau).entries
     exchange = np.fliplr(np.eye(omega.order))
     err = float(np.max(np.abs(delta - (-1) ** spec.n * exchange)))
-    return MirrorInversionReport(n=spec.n, tau=spec.tau, max_error=err, passed=err <= tol)
+    return MirrorInversionReport(n=spec.n, tau=spec.tau, max_error=err, passed=err <= MIRROR_TOL)

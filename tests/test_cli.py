@@ -147,22 +147,6 @@ class TestParseConfig:
             main(["verify", "--shots", "1"])
         assert exc.value.code == 2
 
-    def test_empty_qst_threads_means_unset(self, tmp_path, monkeypatch):
-        args = ["sweep", "--channel-lengths", "3", "--ratio-steps", "2", "--output"]
-        unset, empty = tmp_path / "unset.csv", tmp_path / "empty.csv"
-        monkeypatch.delenv("QST_THREADS", raising=False)
-        assert main(args + [str(unset)]) == 0
-        monkeypatch.setenv("QST_THREADS", "")
-        assert main(args + [str(empty)]) == 0
-        assert empty.read_bytes() == unset.read_bytes()
-
-    def test_non_integer_qst_threads_rejected(self, monkeypatch, capsys):
-        monkeypatch.setenv("QST_THREADS", "two")
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--channel-lengths", "3", "--ratio-steps", "2"])
-        assert exc.value.code == 2
-        assert "QST_THREADS" in capsys.readouterr().err
-
     def test_config_file_unknown_key(self, tmp_path):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"bogus": 1}))
@@ -355,6 +339,26 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())  # report still written
         assert report["overall_pass"] is False
 
+    @pytest.mark.parametrize("seed", ["42", "1", "7"])
+    def test_passes_at_small_dephasing(self, tmp_path, seed):
+        # at sigma * tau ~ 5e-9 the shot values are 1 to within an eps, so
+        # 3 standard errors alone fell below the float resolution
+        out = tmp_path / "report.json"
+        assert main(["verify", "--sigma-lambda", "1e-10", "--seed", seed,
+                     "--output", str(out)]) == 0
+
+    def test_wrong_ndfs_suppression_fails(self, tmp_path, monkeypatch):
+        # every shot drawn at lambda = sigma: no spread, so the tolerance is
+        # the eps allowance alone, and cos(4 sigma tau) misses the predicted
+        # exp(-8 sigma^2 tau^2) by far more than that
+        monkeypatch.setattr(cli.orc.DephasingModel, "draw",
+                            lambda self: [self.sigma_lambda] * self.samples)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--output", str(out)]) == 1
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        ndfs = checks.pop("dephasing_ndfs_suppression")
+        assert ndfs["max_error"] > 10 * ndfs["tolerance"]
+        assert all(c["pass"] for c in checks.values())
 
     def test_formula_vs_oracle_checks_the_sweep_engine(self, tmp_path, monkeypatch):
         # break the engine the sweep runs: formula_vs_oracle fails, while the
