@@ -4,10 +4,14 @@ Everything in this module works on the full 2^L-dimensional state vector
 (L = total sites, hard cap 12) and makes no free-fermion assumption.  The
 XX Hamiltonian conserves total spin-z, and each hop flips the parity of
 the up spins on odd sites, so within a popcount sector it is a chiral
-block [[0, B], [B^T, 0]].  The one evolve core (``_evolve_sectors``)
-builds each rectangular B straight from the chain's bonds, takes its SVD
-and evolves a whole batch of states with real GEMMs (sector L - m reuses
-the SVD of sector m); it never forms the 2^L x 2^L matrix.
+block [[0, B], [B^T, 0]].  The evolve core has two parts.  A per-chain
+decomposition (``_sector_svds``) builds each rectangular B straight from
+the chain's bonds and takes its SVD; it depends on the bonds only, so it
+is computed once per chain and cached, keyed on the bonds' float64 bytes,
+for the last few chains (at most about 7 MB each, at L = 12).  The apply
+step (``_evolve_sectors``) evolves a whole batch of states at any t with
+real GEMMs (sector L - m reuses the SVD of sector m); neither part forms
+the 2^L x 2^L matrix.
 ``spin_hamiltonian_from_coupling`` and ``evolve_state``, a full-matrix
 eigendecomposition, are kept as the dense reference that the core is
 tested against.  The oracle is used to validate, by brute force, what
@@ -41,6 +45,8 @@ Z-corrected target for that encoding.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,6 +185,39 @@ def evolve_state(H: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
     return V @ (np.exp(-1j * w * t) * (V.conj().T @ psi))
 
 
+# Chains whose sector decompositions `_sector_svds` keeps.  An entry is
+# nearly all U and W: about 1.4 MB for an L = 11 chain and 7 MB at the
+# L = 12 cap, so the cache holds at most about 28 MB.
+_SVD_CACHE_CHAINS = 4
+
+
+@functools.lru_cache(maxsize=_SVD_CACHE_CHAINS)
+def _sector_svds(bond_bytes: bytes) -> tuple:
+    """Per-sector decomposition of the XX chain whose float64 bonds are
+    `bond_bytes`: for each sector m <= L/2 the tuple (even, odd, U, S, Wt),
+    where even/odd are the basis indices of the even- and odd-parity states
+    with m up spins and U S Wt is the thin SVD of their chiral block B.
+
+    It depends on the bonds only, not on t or the states, so it is cached,
+    keyed on the exact bytes (which also carry the chain length); every
+    array is read-only because each cache hit hands out the same ones.
+    """
+    bonds = np.frombuffer(bond_bytes)
+    L = len(bonds) + 1
+    pop = _popcounts(L)
+    odd_sites = sum(1 << k for k in range(1, L, 2))
+    parity = pop[np.arange(1 << L) & odd_sites] & 1
+    sectors = []
+    for m in range(L // 2 + 1):
+        even = np.flatnonzero((pop == m) & (parity == 0))
+        odd = np.flatnonzero((pop == m) & (parity == 1))
+        U, S, Wt = np.linalg.svd(_chiral_block(bonds, even, odd), full_matrices=False)
+        for a in (even, odd, U, S, Wt):
+            a.setflags(write=False)
+        sectors.append((even, odd, U, S, Wt))
+    return tuple(sectors)
+
+
 def _evolve_sectors(bonds: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
     """exp(-iHt) applied to every column of psi, H the XX chain of `bonds`,
     one total-S_z sector at a time, without forming H.
@@ -192,22 +231,19 @@ def _evolve_sectors(bonds: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
         x_o + W [(cos St - 1) W^T x_o - i sin St U^T x_e],
 
     with cos St - 1 taken as -2 sin^2(St/2) so that small St loses no digits.
+    The SVDs come from `_sector_svds`, computed once per chain and cached by
+    the bonds' bytes, so a call on a chain seen before is only these GEMMs.
     The global spin flip s -> 2^L - 1 - s leaves H unchanged and maps
     sector m onto sector L - m, so sector L - m reuses U, S, W on the
     flipped rows.  Every sector is evolved, touched or not, so a call costs
     the same whatever the input.  U and W are real, so each product is one
     real GEMM on the interleaved real and imaginary parts.
     """
+    bonds = np.asarray(bonds, dtype=float)
     L = len(bonds) + 1
-    pop = _popcounts(L)
     top = (1 << L) - 1
-    odd_sites = sum(1 << k for k in range(1, L, 2))
-    parity = pop[np.arange(1 << L) & odd_sites] & 1
     out = np.array(psi, dtype=complex)
-    for m in range(L // 2 + 1):
-        even = np.flatnonzero((pop == m) & (parity == 0))
-        odd = np.flatnonzero((pop == m) & (parity == 1))
-        U, S, Wt = np.linalg.svd(_chiral_block(bonds, even, odd), full_matrices=False)
+    for m, (even, odd, U, S, Wt) in enumerate(_sector_svds(bonds.tobytes())):
         cos1 = (-2.0 * np.sin(S * t / 2) ** 2)[:, None]
         sin = np.sin(S * t)[:, None]
         # keyed by sector, so the self-flipped middle sector of even L runs once
@@ -434,6 +470,11 @@ def _run_pipeline(bonds: np.ndarray, encoding, t: float, channel_states, lams):
     return inputs, np.sum(np.abs(q) ** 2, axis=1), phases @ (q[0] * np.conj(q[1]))
 
 
+def _check_finite_time(t: float) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"the evolution time t must be finite, got t = {t!r}")
+
+
 def _mean_fidelities(pipeline, target: str) -> np.ndarray:
     """Per-shot fidelity to each run's input (Z-corrected for target "z"),
     averaged over runs."""
@@ -456,19 +497,23 @@ def average_fidelity_bruteforce(spec: ChainSpec, encoding, t: float,
 
     encoding: "dfs", "ndfs", or a pair of two-bit tuples spanning a custom
     register subspace.  The channel starts either maximally mixed
-    (enumerating every channel basis state exactly) or in one explicit
-    basis state; the right register starts in vacuum.  logical_target
-    overrides the unitary the output is compared against ("identity" or
-    "z"); by default the NDFS encoding is compared against its deterministic
-    Z-corrected target.
+    (enumerating every channel basis state exactly) or in the one basis
+    state an integer channel_init names; the right register starts in
+    vacuum.  t must be finite.  logical_target overrides the unitary the
+    output is compared against ("identity" or "z"); by default the NDFS
+    encoding is compared against its deterministic Z-corrected target.
     """
     if spec.n != 2:
         raise ValueError("the encode/decode pipeline is defined for n = 2")
+    _check_finite_time(t)
     omega = _coupling_for(spec, which)
     n_channel = omega.order - 4  # sites that are neither L nor R register
     if channel_init == "maximally-mixed":
         channel_states = np.arange(1 << n_channel)
     else:
+        if not isinstance(channel_init, (int, np.integer)) or isinstance(channel_init, bool):
+            raise ValueError("channel_init must be 'maximally-mixed' or an integer basis "
+                             f"state, got {channel_init!r}")
         c = int(channel_init)
         if not 0 <= c < (1 << n_channel):
             raise ValueError(f"channel basis state {c} out of range")
@@ -514,9 +559,11 @@ def dephasing_protection_report(spec: ChainSpec, deph: DephasingModel, t: float,
 
     That prediction holds only at the transfer time (away from it the
     decoded coherence is not the |dn,dn>/|up,up> phase alone), so t must
-    equal spec.tau to a relative 1e-9; any other t raises ValueError.
+    equal spec.tau to a relative 1e-9; any other t, or a non-finite one,
+    raises ValueError.
     """
-    if abs(t - spec.tau) > 1e-9 * spec.tau:
+    _check_finite_time(t)
+    if not abs(t - spec.tau) <= 1e-9 * spec.tau:
         raise ValueError(f"the NDFS prediction holds only at t = tau = {spec.tau!r}, got t = {t!r}")
     lams = np.concatenate(([0.0], deph.draw()))  # row 0 is the undephased run
     omega = _coupling_for(spec, which)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -444,3 +445,49 @@ class TestOracleCommand:
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--n", "4"])
         assert exc.value.code == 2
+
+
+def _skeleton(report):
+    """A JSON report with every float replaced by the word "float"."""
+    if isinstance(report, dict):
+        return {k: _skeleton(v) for k, v in report.items()}
+    if isinstance(report, list):
+        return [_skeleton(v) for v in report]
+    return "float" if isinstance(report, float) else report
+
+
+class TestGoldenOutputs:
+    """The default outputs every change must keep: `phases` byte for byte,
+    and the check names and pass flags of `oracle` and `verify`."""
+
+    # a phases table holds only bit patterns, signs and booleans, so its
+    # bytes do not depend on the platform's floating-point rounding
+    @pytest.mark.parametrize("n,digest", [
+        ("2", "4918d870cb3f44154881c3ce788784811dc0af544c59628aabe8646d26c40f0d"),
+        ("3", "dd0ebb8f180facf647529d09e8bcc740d6984ed6682699208812ef5aec62bce9"),
+    ], ids=["n2", "n3"])
+    def test_phases_bytes(self, tmp_path, n, digest):
+        out = tmp_path / "phases.csv"
+        assert main(["phases", "--n", n, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_oracle_checks(self, tmp_path):
+        out = tmp_path / "oracle.json"
+        assert main(["oracle", "--output", str(out)]) == 0
+        assert _skeleton(json.loads(out.read_text())) == {
+            "swap_check": {"n": 2, "max_amplitude_error": "float", "pass": True},
+            "formula_vs_oracle": {"max_error": "float", "tolerance": "float", "pass": True},
+            "overall_pass": True,
+        }
+
+    def test_verify_checks(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--output", str(out)]) == 0
+        check = {"max_error": "float", "tolerance": "float", "pass": True}
+        assert _skeleton(json.loads(out.read_text())) == {
+            "checks": [{"name": name, **check} for name in (
+                "mirror_inversion", "closed_form_match", "unitarity",
+                "kappa_parity_invariance", "formula_vs_oracle",
+                "dephasing_dfs_invariance", "dephasing_ndfs_suppression")],
+            "overall_pass": True,
+        }

@@ -6,14 +6,14 @@ from dfsqst import oracle
 from dfsqst.model import (CouplingMatrix, derive_parameters,
                           build_full_coupling_matrix, build_effective_coupling_matrix)
 from dfsqst.propagator import eigendecompose, propagator_at
-from dfsqst.fidelity import extract_register_elements, f_dfs, f_ndfs
+from dfsqst.fidelity import extract_register_elements, f_dfs, f_ndfs, register_elements
 from dfsqst.oracle import (MAX_SITES, OccupationPattern, DephasingModel,
                            build_spin_hamiltonian, spin_hamiltonian_from_coupling,
                            evolve_state, jw_phase_prediction, effective_swap_check,
                            phase_table, encode_cnot, apply_collective_dephasing,
                            average_fidelity_bruteforce, dephasing_protection_report,
                            REMAINING_SUBSPACES, PAULI_AXIS_STATES,
-                           _evolve_sectors, _codec_perms)
+                           _evolve_sectors, _sector_svds, _codec_perms)
 
 
 def single_bond(g):
@@ -136,19 +136,61 @@ class TestSectorEvolve:
                                        rtol=0, atol=1e-12)
 
     def test_same_work_for_every_input(self, monkeypatch):
-        # a call decomposes the chiral blocks of sectors m <= L/2 whichever
-        # sectors the batch occupies, so its cost does not depend on the
-        # input states; at L = 9 (sites 1, 3, 5, 7 odd) sector m splits into
-        # even- and odd-parity states as 1+0, 5+4, 16+20, 40+44, 66+60
+        # the first call on a chain decomposes the chiral blocks of sectors
+        # m <= L/2 whichever sectors the batch occupies, later calls on it
+        # at any t decompose none, and another chain all of them again, so
+        # a call's cost does not depend on the input states; at L = 9
+        # (sites 1, 3, 5, 7 odd) sector m splits into even- and odd-parity
+        # states as 1+0, 5+4, 16+20, 40+44, 66+60
+        blocks = [(1, 0), (5, 4), (16, 20), (40, 44), (66, 60)]
         bonds = np.linspace(0.5, 1.5, 8)
         shapes, svd = [], np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd",
                             lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
-        for s in (0, 0b111, (1 << 9) - 1):
+        _sector_svds.cache_clear()
+        for s, t in ((0, 1.0), (0b111, 2.5), ((1 << 9) - 1, 0.3)):
             psi = np.zeros((1 << 9, 1), dtype=complex)
             psi[s] = 1.0
-            _evolve_sectors(bonds, psi, 1.0)
-        assert shapes == [(1, 0), (5, 4), (16, 20), (40, 44), (66, 60)] * 3
+            _evolve_sectors(bonds, psi, t)
+        assert shapes == blocks
+        _evolve_sectors(2.0 * bonds, psi, 1.0)
+        assert shapes == blocks * 2
+
+    def test_cache_hit_is_bitwise_a_cold_call(self):
+        rng = np.random.default_rng(5)
+        bonds = rng.uniform(-2.0, 2.0, 9)
+        psi = rng.normal(size=(1 << 10, 4)) + 1j * rng.normal(size=(1 << 10, 4))
+        _sector_svds.cache_clear()
+        _evolve_sectors(bonds, psi, 0.4)
+        hit = _evolve_sectors(bonds, psi, 1.7)
+        assert _sector_svds.cache_info().hits == 1
+        _sector_svds.cache_clear()
+        np.testing.assert_array_equal(hit, _evolve_sectors(bonds, psi, 1.7))
+
+    def test_cached_arrays_are_read_only(self):
+        for sector in _sector_svds(np.linspace(0.5, 1.5, 6).tobytes()):
+            for a in sector:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+
+    def test_cache_separates_bond_signs_and_lengths(self):
+        # a bond's sign changes the amplitudes' signs, not the spectrum, and
+        # a shorter chain shares a prefix of the bonds; each must get its
+        # own decomposition, checked against the dense reference
+        rng = np.random.default_rng(8)
+        bonds = rng.uniform(0.3, 1.5, 6)
+        flipped = bonds.copy()
+        flipped[2] *= -1.0
+        _sector_svds.cache_clear()
+        for b in (bonds, flipped, bonds[:-1]):
+            L = len(b) + 1
+            psi = rng.normal(size=(1 << L, 2)) + 1j * rng.normal(size=(1 << L, 2))
+            out = _evolve_sectors(b, psi, 2.3)
+            H = spin_hamiltonian_from_coupling(chain(b))
+            for j in range(2):
+                np.testing.assert_allclose(out[:, j], evolve_state(H, psi[:, j], 2.3),
+                                           rtol=0, atol=1e-12)
+        assert _sector_svds.cache_info().misses == 3
 
     def test_pipeline_builds_no_dense_hamiltonian(self, monkeypatch):
         # the oracle entry points evolve through the sector blocks only
@@ -312,6 +354,17 @@ class TestBruteForceFidelity:
             assert abs(f_dfs(e) - average_fidelity_bruteforce(spec, "dfs", float(t))) <= 1e-8
             assert abs(f_ndfs(e) - average_fidelity_bruteforce(spec, "ndfs", float(t))) <= 1e-8
 
+    def test_matches_formulas_at_eleven_sites(self):
+        # the full N = 7 chain, L = 11 sites and 128 channel basis states:
+        # the sweep engine against the oracle, as `verify` does at N = 3
+        spec = derive_parameters(2, 7, 1.0, 0.3)
+        omega = build_full_coupling_matrix(spec)
+        for frac in (0.37, 1.0, 1.58):
+            t = frac * spec.tau
+            e = register_elements(omega, t)
+            assert abs(f_dfs(e) - average_fidelity_bruteforce(spec, "dfs", t)) <= 1e-8
+            assert abs(f_ndfs(e) - average_fidelity_bruteforce(spec, "ndfs", t)) <= 1e-8
+
     def test_explicit_channel_state(self):
         spec = derive_parameters(2, 3, 1.0, 0.1)
         f = average_fidelity_bruteforce(spec, "dfs", spec.tau, channel_init=0,
@@ -320,6 +373,15 @@ class TestBruteForceFidelity:
         with pytest.raises(ValueError):
             average_fidelity_bruteforce(spec, "dfs", spec.tau, channel_init=99,
                                         which="effective")
+
+    @pytest.mark.parametrize("channel_init", [2.7, np.float64(2.0), True, "2", None])
+    def test_non_integer_channel_state_rejected(self, channel_init):
+        # 2.7 used to run as channel state 2 and True as state 1
+        spec = derive_parameters(2, 3, 1.0, 0.1)
+        with pytest.raises(ValueError, match="channel_init"):
+            average_fidelity_bruteforce(spec, "dfs", spec.tau, channel_init=channel_init)
+        assert (average_fidelity_bruteforce(spec, "dfs", spec.tau, channel_init=np.int64(2))
+                == average_fidelity_bruteforce(spec, "dfs", spec.tau, channel_init=2))
 
     def test_remaining_subspaces_degrade_under_dephasing(self):
         spec = derive_parameters(2, 3, 1.0, 0.1)
@@ -369,6 +431,17 @@ class TestDephasingProtection:
         # a tau computed along another route is accepted
         rep = dephasing_protection_report(spec, deph, spec.tau * (1.0 + 1e-12))
         assert rep.dfs_passed and rep.ndfs_passed
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_time_rejected(self, t):
+        # NaN passed the t == tau guard, and without dephasing it was
+        # reported as an overflowing dephasing phase
+        spec = derive_parameters(2, 3, 1.0, 0.1)
+        deph = DephasingModel(sigma_lambda=0.5 / spec.tau, samples=5, seed=1)
+        with pytest.raises(ValueError, match="t must be finite"):
+            average_fidelity_bruteforce(spec, "dfs", t)
+        with pytest.raises(ValueError, match="t must be finite"):
+            dephasing_protection_report(spec, deph, t)
 
     def test_sigma_zero_leaves_both_unaffected(self):
         spec = derive_parameters(2, 3, 1.0, 0.1)
