@@ -12,8 +12,7 @@ from .fidelity import (RegisterElements, extract_register_elements,
                        SweepRow, SweepResult, sweep_fidelity,
                        default_ratio_grid)
 from .oracle import (OccupationPattern, DephasingModel, build_spin_hamiltonian,
-                     evolve_state, jw_phase_prediction, effective_swap_check,
-                     encode_cnot, apply_collective_dephasing,
+                     evolve_state, jw_phase_prediction,
                      average_fidelity_bruteforce, dephasing_protection_report,
                      phase_table, REMAINING_SUBSPACES)
 

@@ -61,12 +61,8 @@ __all__ = [
     "build_spin_hamiltonian",
     "evolve_state",
     "jw_phase_prediction",
-    "effective_swap_check",
-    "SwapCheckReport",
     "phase_table",
     "PhaseRow",
-    "encode_cnot",
-    "apply_collective_dephasing",
     "average_fidelity_bruteforce",
     "dephasing_protection_report",
     "DephasingProtectionReport",
@@ -130,8 +126,8 @@ class DephasingModel:
     seed: int = 42
 
     def __post_init__(self):
-        if self.sigma_lambda < 0:
-            raise ValueError("sigma_lambda must be >= 0")
+        if not 0 <= self.sigma_lambda < math.inf:
+            raise ValueError(f"sigma_lambda must be finite and >= 0, got {self.sigma_lambda!r}")
         if self.samples < 1:
             raise ValueError("need at least one dephasing sample")
 
@@ -332,38 +328,8 @@ def phase_table(n: int) -> list[PhaseRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class SwapCheckReport:
-    n: int
-    max_amplitude_error: float
-    mismatched_states: tuple[int, ...]
-    passed: bool
-
-
-def effective_swap_check(n: int) -> SwapCheckReport:
-    """Per-basis-state check that U_eff(tau) = Gamma * (SWAP_{L,R} x I_kappa)."""
-    rows = phase_table(n)
-    max_err = max(r.deviation for r in rows)
-    bad = tuple(r.pattern.basis_index() for r in rows if not r.match)
-    return SwapCheckReport(n=n, max_amplitude_error=max_err,
-                           mismatched_states=bad, passed=not bad)
-
-
 # ---------------------------------------------------------------------------
 # state-vector plumbing
-
-def _cnot_perm(L: int, control: int, target: int) -> np.ndarray:
-    s = np.arange(1 << L)
-    return np.where((s >> control) & 1, s ^ (1 << target), s)
-
-
-def encode_cnot(psi: np.ndarray, control_site: int, target_site: int) -> np.ndarray:
-    """CNOT as a basis permutation: flip target bit where control bit = 1."""
-    if control_site == target_site:
-        raise ValueError("control and target must be distinct sites")
-    L = int(np.log2(len(psi)))
-    return psi[_cnot_perm(L, control_site, target_site)]
-
 
 def _popcounts(L: int) -> np.ndarray:
     """Number of up spins of every basis index."""
@@ -371,36 +337,20 @@ def _popcounts(L: int) -> np.ndarray:
     return sum((s >> k) & 1 for k in range(L))
 
 
-def _sz_values(L: int) -> np.ndarray:
-    return 2 * _popcounts(L) - L
+def _pair_perm(L: int, src, lo_bit: int, hi_bit: int) -> np.ndarray:
+    """Basis permutation acting on the register pair at (lo_bit, hi_bit).
 
-
-def apply_collective_dephasing(psi: np.ndarray, lam: float, t: float) -> np.ndarray:
-    """Phase exp(-i lam s_z t) per basis state, s_z = total spin-z value."""
-    L = int(np.log2(len(psi)))
-    return np.exp(-1j * lam * _sz_values(L) * t) * psi
-
-
-def _pair_perm(L: int, mapping: dict, lo_bit: int, hi_bit: int) -> np.ndarray:
-    """Permutation acting on the two-qubit subsystem at (lo_bit, hi_bit).
-
-    mapping: {(b_lo, b_hi): (b_lo', b_hi')} over all four configurations.
-    Returns perm such that (P psi)[s] = psi[perm[s]]; valid because the
-    permutations used here are involutions or applied via their inverse.
+    Patterns (b_lo, b_hi) are coded b_lo | b_hi << 1, and src[c] is the code
+    of the pattern whose amplitude lands on pattern c.  Returns perm with
+    (P psi)[s] = psi[perm[s]]: s with its pair bits flipped from pattern c
+    to src[c], one 4-entry lookup of the flip mask.
     """
+    flip = [((c ^ src[c]) & 1) << lo_bit | ((c ^ src[c]) >> 1) << hi_bit for c in range(4)]
     s = np.arange(1 << L)
-    b_lo = (s >> lo_bit) & 1
-    b_hi = (s >> hi_bit) & 1
-    out = s & ~((1 << lo_bit) | (1 << hi_bit))
-    src_lo = np.empty_like(s)
-    src_hi = np.empty_like(s)
-    # invert the mapping: to fill target state s we need the source config
-    inv = {v: k for k, v in mapping.items()}
-    for (tl, th), (sl, sh) in inv.items():
-        sel = (b_lo == tl) & (b_hi == th)
-        src_lo[sel] = sl
-        src_hi[sel] = sh
-    return out | (src_lo << lo_bit) | (src_hi << hi_bit)
+    return s ^ np.array(flip)[((s >> lo_bit) & 1) | ((s >> hi_bit) & 1) << 1]
+
+
+_PATTERNS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _encoding_pairs(encoding):
@@ -409,29 +359,31 @@ def _encoding_pairs(encoding):
         return ((0, 1), (1, 0))
     if encoding == "ndfs":
         return ((0, 0), (1, 1))
-    b0, b1 = encoding
-    return tuple(b0), tuple(b1)
+    pair = tuple(map(tuple, encoding))
+    if len(pair) != 2 or pair[0] == pair[1] or not set(pair) <= set(_PATTERNS):
+        raise ValueError(f"encoding must be 'dfs', 'ndfs' or two distinct bit pairs, "
+                         f"got {encoding!r}")
+    return pair
 
 
 def _codec_perms(L: int, encoding):
-    """(prep_bit, encode_perm, decode_perm) for a register encoding.
+    """(prep_bit, encode_perm, decode_perm) for the register encoding (b0, b1).
 
-    For "dfs" and "ndfs" this is the literal CNOT pipeline: prepare L2 in
-    |up> (DFS) or |dn> (NDFS), encode with CNOT(L1 -> L2), decode with
-    CNOT(R1 -> R2).  Custom subspace pairs use a basis permutation that
-    maps {|dn,prep>, |up,prep>} onto the pair (and its inverse on R); the
-    two conventions differ only in where leakage amplitudes land.
+    One rule for every encoding: L2 is prepared in p = b0[1]; encoding sends
+    the (L1, L2) pattern (x, p) to b_x and the other two patterns, in
+    ascending order, onto the two patterns outside {b0, b1}, in ascending
+    order; decoding is the inverse map on (R1, R2).  For "dfs" (p = 1) and
+    "ndfs" (p = 0) this is exactly CNOT(L1 -> L2) and CNOT(R1 -> R2).
     """
-    if encoding in ("dfs", "ndfs"):
-        prep = 1 if encoding == "dfs" else 0
-        return prep, _cnot_perm(L, 0, 1), _cnot_perm(L, L - 1, L - 2)
     b0, b1 = _encoding_pairs(encoding)
-    rest = [p for p in ((0, 0), (1, 0), (0, 1), (1, 1)) if p not in (b0, b1)]
-    enc_map = {(0, 0): b0, (1, 0): b1, (0, 1): rest[0], (1, 1): rest[1]}
-    enc_perm = _pair_perm(L, enc_map, lo_bit=0, hi_bit=1)
-    dec_perm = _pair_perm(L, {v: k for k, v in enc_map.items()},
-                          lo_bit=L - 1, hi_bit=L - 2)
-    return 0, enc_perm, dec_perm
+    p = b0[1]
+    sources = [(0, p), (1, p)] + [a for a in _PATTERNS if a[1] != p]
+    images = [b0, b1] + [a for a in _PATTERNS if a not in (b0, b1)]
+    enc_src, dec_src = [0] * 4, [0] * 4
+    for (a_lo, a_hi), (b_lo, b_hi) in zip(sources, images):
+        enc_src[b_lo | b_hi << 1] = a_lo | a_hi << 1
+        dec_src[a_lo | a_hi << 1] = b_lo | b_hi << 1
+    return p, _pair_perm(L, enc_src, 0, 1), _pair_perm(L, dec_src, L - 1, L - 2)
 
 
 def _default_target(encoding) -> str:
@@ -460,7 +412,7 @@ def _run_pipeline(bonds: np.ndarray, encoding, t: float, channel_states, lams):
     psi[base, runs] = inputs[:, 0]
     psi[base | 1, runs] = inputs[:, 1]
     # R1 is the most significant bit of the decoded basis index
-    sz = _sz_values(L)[dec_perm].reshape(2, -1)
+    sz = (2 * _popcounts(L) - L)[dec_perm].reshape(2, -1)
     with np.errstate(over="ignore", invalid="ignore"):
         phases = np.exp(-1j * t * np.outer(lams, sz[0] - sz[1]))
     if not np.all(np.isfinite(phases)):

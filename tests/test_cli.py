@@ -70,6 +70,25 @@ def _argv(command, required=()):
         lambda fc: ([command] + [tok for f in fc[0] for tok in f], fc[1]))
 
 
+# a valid value of every option, and the flags that give it
+OPTION_SAMPLES = {
+    "n": (2, ["--n", "2"]),
+    "channel_lengths": ([3], ["--channel-lengths", "3"]),
+    "ratio_min": (0.01, ["--ratio-min", "0.01"]),
+    "ratio_max": (0.5, ["--ratio-max", "0.5"]),
+    "ratio_steps": (2, ["--ratio-steps", "2"]),
+    "linear": (True, ["--linear"]),
+    "encoding": ("dfs", ["--encoding", "dfs"]),
+    "time": (1.5, ["--time", "1.5"]),
+    "sigma_lambda": (0.1, ["--sigma-lambda", "0.1"]),
+    "shots": (10, ["--shots", "10"]),
+    "seed": (3, ["--seed", "3"]),
+    "output_path": ("out.txt", ["--output", "out.txt"]),
+    "format": ("json", ["--format", "json"]),
+    "tolerance_scale": (2.0, ["--tolerance-scale", "2"]),
+}
+
+
 def _run(argv, config, call):
     """Call `call(argv)` with `config` written to a --config file, output captured."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -128,12 +147,12 @@ class TestParseConfig:
 
     def test_config_file_and_override(self, tmp_path):
         cfg_file = tmp_path / "run.json"
-        cfg_file.write_text(json.dumps({"ratio_steps": 7, "seed": 9}))
+        cfg_file.write_text(json.dumps({"ratio_steps": 7, "ratio_min": 0.01}))
         cfg = parse_config(["sweep", "--config", str(cfg_file)])
-        assert cfg.ratio_steps == 7 and cfg.seed == 9
+        assert cfg.ratio_steps == 7 and cfg.ratio_min == 0.01
         # explicit flag wins over the file
-        cfg = parse_config(["sweep", "--config", str(cfg_file), "--seed", "3"])
-        assert cfg.ratio_steps == 7 and cfg.seed == 3
+        cfg = parse_config(["sweep", "--config", str(cfg_file), "--ratio-min", "0.02"])
+        assert cfg.ratio_steps == 7 and cfg.ratio_min == 0.02
 
     @pytest.mark.parametrize("n", ["1", "3"])
     def test_sweep_register_size_other_than_2_rejected(self, n):
@@ -179,8 +198,42 @@ class TestParseConfig:
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps(content))
         with pytest.raises(SystemExit) as exc:
-            parse_config(["sweep", "--config", str(cfg_file)])
+            parse_config(["verify" if "shots" in content else "sweep", "--config", str(cfg_file)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["sweep", "verify", "oracle", "phases"])
+    def test_only_the_options_a_command_reads(self, tmp_path, command):
+        # each option, as a flag and as a config key, parses exactly for the
+        # commands that read it; 20 of the 56 (command, option) pairs
+        assert sum(map(len, cli._OPTIONS.values())) == 20
+        assert set(OPTION_SAMPLES) == set(cli._DEFAULTS)
+        cfg_file = tmp_path / "run.json"
+        for key, (value, argv) in OPTION_SAMPLES.items():
+            cfg_file.write_text(json.dumps({key: value}))
+            for extra in (argv, ["--config", str(cfg_file)]):
+                if key in cli._OPTIONS[command]:
+                    assert getattr(parse_config([command, *extra]), key) == value
+                else:
+                    with pytest.raises(SystemExit) as exc:
+                        parse_config([command, *extra])
+                    assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["phases", "--format", "json"],
+        ["verify", "--n", "3"],
+        ["verify", "--channel-lengths", "7"],
+        ["verify", "--linear"],
+        ["sweep", "--tolerance-scale", "0"],
+        ["sweep", "--shots", "2"],
+        ["oracle", "--channel-lengths", "9"],
+    ])
+    def test_option_the_command_ignores_is_usage_error(self, capsys, argv):
+        # each used to be accepted and ignored: phases wrote CSV for
+        # --format json, and verify wrote the default report
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @settings(max_examples=100, deadline=None)
     @given(args=st.sampled_from(["sweep", "verify", "oracle", "phases"]).flatmap(_argv))

@@ -9,8 +9,7 @@ from dfsqst.propagator import eigendecompose, propagator_at
 from dfsqst.fidelity import extract_register_elements, f_dfs, f_ndfs, register_elements
 from dfsqst.oracle import (MAX_SITES, OccupationPattern, DephasingModel,
                            build_spin_hamiltonian, spin_hamiltonian_from_coupling,
-                           evolve_state, jw_phase_prediction, effective_swap_check,
-                           phase_table, encode_cnot, apply_collective_dephasing,
+                           evolve_state, jw_phase_prediction, phase_table,
                            average_fidelity_bruteforce, dephasing_protection_report,
                            REMAINING_SUBSPACES, PAULI_AXIS_STATES,
                            _evolve_sectors, _sector_svds, _codec_perms)
@@ -219,6 +218,7 @@ def dense_average_fidelity(spec, encoding, t, deph=None, target="identity"):
     w, V = np.linalg.eigh(H)
     prep, enc_perm, dec_perm = _codec_perms(L, encoding)
     lams = deph.draw() if deph is not None else [0.0]
+    sz = np.diag(total_sz_operator(L))
     zsign = np.array([1.0, -1.0]) if target == "z" else np.array([1.0, 1.0])
     total = 0.0
     for chi in PAULI_AXIS_STATES:
@@ -229,7 +229,7 @@ def dense_average_fidelity(spec, encoding, t, deph=None, target="identity"):
             psi = V @ (np.exp(-1j * w * t) * (V.T @ psi[enc_perm]))
             rho = np.zeros((2, 2), dtype=complex)
             for lam in lams:
-                m = apply_collective_dephasing(psi, lam, t)[dec_perm].reshape(2, -1)
+                m = (np.exp(-1j * lam * sz * t) * psi)[dec_perm].reshape(2, -1)
                 rho += m @ m.conj().T
             tgt = zsign * chi
             total += float(np.real(tgt.conj() @ rho @ tgt)) / len(lams)
@@ -274,10 +274,10 @@ class TestJwPhases:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_swap_check(self, n):
-        rep = effective_swap_check(n)
-        assert rep.passed
-        assert rep.max_amplitude_error <= 1e-8
-        assert rep.mismatched_states == ()
+        rows = phase_table(n)
+        assert len(rows) == 1 << (2 * n + 1)
+        assert all(r.match for r in rows)
+        assert max(r.deviation for r in rows) <= 1e-8
 
     def test_phase_table_rows(self):
         rows = phase_table(2)
@@ -287,45 +287,44 @@ class TestJwPhases:
         assert all(r.match for r in rows)
 
 
-class TestCnotAndDephasing:
-    def test_cnot_on_down_down(self):
-        psi = np.zeros(4, dtype=complex)
-        psi[0] = 1.0
-        np.testing.assert_array_equal(encode_cnot(psi, 0, 1), psi)
+def literal_cnot(L, control, target):
+    """CNOT(control -> target) as a basis permutation, one state at a time."""
+    return np.array([s ^ (1 << target) if (s >> control) & 1 else s for s in range(1 << L)])
 
-    def test_cnot_encodes_product_state(self):
-        b0, b1 = 0.6, 0.8
-        psi = np.array([b0, b1, 0, 0], dtype=complex)  # (b0|dn>+b1|up>) x |dn>
-        out = encode_cnot(psi, 0, 1)
-        np.testing.assert_allclose(out, [b0, 0, 0, b1], atol=1e-15)
 
-    def test_cnot_involution(self):
-        rng = np.random.default_rng(2)
-        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-        np.testing.assert_array_equal(encode_cnot(encode_cnot(psi, 2, 0), 2, 0), psi)
+class TestCodec:
+    @pytest.mark.parametrize("L", [5, 7, 11])
+    @pytest.mark.parametrize("encoding,prep", [("dfs", 1), ("ndfs", 0)])
+    def test_dfs_and_ndfs_are_the_literal_cnots(self, L, encoding, prep):
+        p, enc, dec = _codec_perms(L, encoding)
+        assert p == prep
+        np.testing.assert_array_equal(enc, literal_cnot(L, 0, 1))
+        np.testing.assert_array_equal(dec, literal_cnot(L, L - 1, L - 2))
 
-    def test_cnot_rejects_equal_sites(self):
-        with pytest.raises(ValueError):
-            encode_cnot(np.ones(4, dtype=complex), 1, 1)
+    @pytest.mark.parametrize("encoding,codewords", [
+        ("dfs", ((0, 1), (1, 0))), ("ndfs", ((0, 0), (1, 1))),
+        *((pair, pair) for pair in REMAINING_SUBSPACES)])
+    def test_logical_states_encode_to_codewords_and_decode_back(self, encoding, codewords):
+        # codewords (bit_1, bit_2) sit on (L1, L2) = bits (0, 1) after encoding
+        # and on (R1, R2) = bits (L-1, L-2) before decoding
+        L = 7
+        p, enc, dec = _codec_perms(L, encoding)
+        for perm in (enc, dec):
+            np.testing.assert_array_equal(np.sort(perm), np.arange(1 << L))
+        for x, (c1, c2) in enumerate(codewords):
+            for rest in (0, 0b101, 0b111):
+                psi = np.zeros(1 << L)
+                psi[x | p << 1 | rest << 2] = 1.0
+                assert np.flatnonzero(psi[enc]).tolist() == [c1 | c2 << 1 | rest << 2]
+                psi = np.zeros(1 << L)
+                psi[c1 << (L - 1) | c2 << (L - 2) | rest] = 1.0
+                assert np.flatnonzero(psi[dec]).tolist() == [x << (L - 1) | p << (L - 2) | rest]
 
-    def test_dephasing_trivial_cases(self):
-        psi = np.array([0.6, 0, 0, 0.8j], dtype=complex)
-        np.testing.assert_array_equal(apply_collective_dephasing(psi, 0.0, 1.7), psi)
-
-    def test_single_sector_global_phase(self):
-        # state supported on one total-sz sector only picks up a global phase
-        psi = np.array([0, 0.6, 0.8, 0], dtype=complex)  # both one-up states
-        out = apply_collective_dephasing(psi, 0.3, 2.0)
-        ratio = out[1] / psi[1]
-        np.testing.assert_allclose(out, ratio * psi, atol=1e-14)
-        assert abs(ratio) == pytest.approx(1.0, abs=1e-14)
-
-    def test_two_site_relative_phase(self):
-        lam, t = 0.21, 1.3
-        psi = np.array([0.6, 0, 0, 0.8], dtype=complex)  # a|dn,dn> + b|up,up>
-        out = apply_collective_dephasing(psi, lam, t)
-        rel = (out[3] / psi[3]) / (out[0] / psi[0])
-        assert rel == pytest.approx(np.exp(-4j * lam * t), abs=1e-14)
+    @pytest.mark.parametrize("encoding", ["cnot", ((0, 1), (0, 1)), ((0, 2), (1, 1))])
+    def test_invalid_encoding_rejected(self, encoding):
+        spec = derive_parameters(2, 1, 1.0, 0.2)
+        with pytest.raises(ValueError, match="encoding"):
+            average_fidelity_bruteforce(spec, encoding, spec.tau)
 
 
 class TestBruteForceFidelity:
@@ -402,6 +401,13 @@ class TestDephasingProtection:
             DephasingModel(sigma_lambda=0.1, samples=0)
         with pytest.raises(ValueError):
             DephasingModel(sigma_lambda=-0.1)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # nan passed the sigma < 0 check, and the brute-force fidelity then
+        # ran undephased while the report called it an overflowing phase
+        with pytest.raises(ValueError, match="sigma_lambda must be finite"):
+            DephasingModel(sigma_lambda=sigma)
 
     def test_dfs_invariance_and_ndfs_suppression(self):
         spec = derive_parameters(2, 3, 1.0, 0.1)
