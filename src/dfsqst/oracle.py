@@ -391,6 +391,17 @@ def _default_target(encoding) -> str:
     return "z" if encoding == "ndfs" else "identity"
 
 
+def _dephasing_phases(lams, t: float, sz) -> np.ndarray:
+    """Collective dephasing factors exp(-i lam s_z t), one row per shot lam
+    and one column per s_z value; a non-finite factor is an error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(-1j * t * np.outer(lams, sz))
+    if not np.all(np.isfinite(phases)):
+        raise ValueError(f"dephasing phase lambda * t * dz overflows at t = {t!r}: "
+                         "sigma_lambda * t is beyond the float range")
+    return phases
+
+
 def _run_pipeline(bonds: np.ndarray, encoding, t: float, channel_states, lams):
     """Prepare, encode on L, evolve, dephase and decode on R every
     (Pauli-axis input, channel basis state) run as one batch.
@@ -413,11 +424,7 @@ def _run_pipeline(bonds: np.ndarray, encoding, t: float, channel_states, lams):
     psi[base | 1, runs] = inputs[:, 1]
     # R1 is the most significant bit of the decoded basis index
     sz = (2 * _popcounts(L) - L)[dec_perm].reshape(2, -1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phases = np.exp(-1j * t * np.outer(lams, sz[0] - sz[1]))
-    if not np.all(np.isfinite(phases)):
-        raise ValueError(f"dephasing phase lambda * t * dz overflows at t = {t!r}: "
-                         "sigma_lambda * t is beyond the float range")
+    phases = _dephasing_phases(lams, t, sz[0] - sz[1])
     q = _evolve_sectors(bonds, psi[enc_perm], t)[dec_perm].reshape(2, -1, len(runs))
     return inputs, np.sum(np.abs(q) ** 2, axis=1), phases @ (q[0] * np.conj(q[1]))
 

@@ -327,6 +327,33 @@ class TestCodec:
             average_fidelity_bruteforce(spec, encoding, spec.tau)
 
 
+def dephase(psi, lam, t):
+    """The pipeline's collective dephasing exp(-i lam s_z t) on one state."""
+    L = len(psi).bit_length() - 1
+    return oracle._dephasing_phases([lam], t, 2 * oracle._popcounts(L) - L)[0] * psi
+
+
+class TestCnotAndDephasing:
+    def test_dephasing_trivial_cases(self):
+        psi = np.array([0.6, 0, 0, 0.8j], dtype=complex)
+        np.testing.assert_array_equal(dephase(psi, 0.0, 1.7), psi)
+
+    def test_single_sector_global_phase(self):
+        # state supported on one total-sz sector only picks up a global phase
+        psi = np.array([0, 0.6, 0.8, 0], dtype=complex)  # both one-up states
+        out = dephase(psi, 0.3, 2.0)
+        ratio = out[1] / psi[1]
+        np.testing.assert_allclose(out, ratio * psi, atol=1e-14)
+        assert abs(ratio) == pytest.approx(1.0, abs=1e-14)
+
+    def test_two_site_relative_phase(self):
+        lam, t = 0.21, 1.3
+        psi = np.array([0.6, 0, 0, 0.8], dtype=complex)  # a|dn,dn> + b|up,up>
+        out = dephase(psi, lam, t)
+        rel = (out[3] / psi[3]) / (out[0] / psi[0])
+        assert rel == pytest.approx(np.exp(-4j * lam * t), abs=1e-14)
+
+
 class TestBruteForceFidelity:
     def test_effective_dfs_perfect_at_tau(self):
         spec = derive_parameters(2, 3, 1.0, 0.1)
