@@ -91,6 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, keys in _OPTIONS.items():
         sp = sub.add_parser(name)
+        sp.set_defaults(command_parser=sp)
         sp.add_argument("--config", help="JSON config file")
         for key in keys:
             flag = "--output" if key == "output_path" else "--" + key.replace("_", "-")
@@ -125,8 +126,10 @@ def _valid(key: str, value) -> bool:
 
 
 def parse_config(argv) -> RunConfig:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns, extra = _build_parser().parse_known_args(argv)
+    parser = ns.command_parser  # so each usage line lists the command's own options
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
 
     merged = dict(_DEFAULTS)
     if ns.config:
@@ -232,6 +235,7 @@ def run_sweep(cfg: RunConfig) -> int:
 
 # N = 3, n = 2: the chain on which the formulas are checked against the oracle
 _ORACLE_SPEC = derive_parameters(2, 3, 1.0, 0.2)
+ORACLE_TOL = 1e-8  # the largest fidelity gap that check passes with
 
 
 def _formula_vs_oracle_error(times) -> float:
@@ -294,7 +298,7 @@ def _verify_checks(cfg: RunConfig):
     add("kappa_parity_invariance", err, 1e-12 * scale)
 
     add("formula_vs_oracle",
-        _formula_vs_oracle_error(rng.uniform(0, 2 * _ORACLE_SPEC.tau, 4)), 1e-8 * scale)
+        _formula_vs_oracle_error(rng.uniform(0, 2 * _ORACLE_SPEC.tau, 4)), ORACLE_TOL * scale)
 
     # dephasing protection, effective model
     sp = derive_parameters(2, 3, 1.0, 0.1)
@@ -329,9 +333,10 @@ def run_oracle(cfg: RunConfig) -> int:
     report = {
         "swap_check": {"n": cfg.n, "max_amplitude_error": max(r.deviation for r in rows),
                        "pass": swap_passed},
-        "formula_vs_oracle": {"max_error": err, "tolerance": 1e-8, "pass": err <= 1e-8},
+        "formula_vs_oracle": {"max_error": err, "tolerance": ORACLE_TOL,
+                              "pass": err <= ORACLE_TOL},
     }
-    overall = swap_passed and err <= 1e-8
+    overall = swap_passed and err <= ORACLE_TOL
     report["overall_pass"] = overall
     _write_output(json.dumps(report, indent=2, allow_nan=False) + "\n", cfg.output_path)
     return 0 if overall else 1

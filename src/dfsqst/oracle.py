@@ -21,8 +21,9 @@ the free-fermion engine claims:
   single-particle coupling matrix (Jordan-Wigner consistency),
 * the effective evolution at tau is a register swap times the fermionic
   phase factors Gamma0*Gamma1*Gamma2 predicted per occupation pattern,
-* the CNOT encode/transfer/decode pipeline reproduces the closed
-  fidelity formulas for the DFS and non-DFS logical encodings,
+* the CNOT encode/transfer/decode pipeline, run on the two logical basis
+  branches of each channel state, reproduces the closed fidelity formulas
+  for the DFS and non-DFS logical encodings,
 * collective dephasing (a classical random scalar field coupled to the
   total spin-z projection) leaves the DFS pipeline exactly invariant
   while suppressing non-DFS coherences by the Gaussian factor
@@ -66,7 +67,6 @@ __all__ = [
     "average_fidelity_bruteforce",
     "dephasing_protection_report",
     "DephasingProtectionReport",
-    "PAULI_AXIS_STATES",
     "REMAINING_SUBSPACES",
 ]
 
@@ -76,12 +76,6 @@ MAX_SITES = 12
 # largest per-shot DFS fidelity deviation the dephasing report passes with.
 SWAP_TOL = 1e-8
 DFS_TOL = 1e-10
-
-# Six Pauli-axis states: exact 2-design average for qubit channels.
-PAULI_AXIS_STATES = tuple(
-    np.array(v, dtype=complex) / np.linalg.norm(v)
-    for v in ([1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j])
-)
 
 # The four two-dimensional register subspaces that are neither the DFS nor
 # the NDFS pair; each entry is ((bit_1, bit_2) for logical 0 and 1), where
@@ -403,30 +397,25 @@ def _dephasing_phases(lams, t: float, sz) -> np.ndarray:
 
 
 def _run_pipeline(bonds: np.ndarray, encoding, t: float, channel_states, lams):
-    """Prepare, encode on L, evolve, dephase and decode on R every
-    (Pauli-axis input, channel basis state) run as one batch.
-
-    Runs are input-major: run i * len(channel_states) + k starts from
-    PAULI_AXIS_STATES[i] with channel state channel_states[k] and the right
-    register in vacuum.  Returns the inputs (runs, 2), the R1 populations
-    (2, runs) and the R1 coherence rho_01 (shots, runs).  The dephasing
-    phase exp(-i lam s_z t) uses s_z before decoding, so populations do not
-    depend on lam and each rest-of-chain term of rho_01 picks up
-    exp(-i lam t dz), dz = s_z(R1-down branch) - s_z(R1-up branch).
-    """
+    """Prepare, encode on L, evolve and decode on R, as one batch, the two
+    logical basis branches of every channel state: column x * C + c starts
+    from logical x, channel state channel_states[c] and the right register
+    in vacuum.  By linearity these fix the output of every input.  Returns
+    the decoded amplitudes q[R1, rest, x, c] and dephase(v): per shot, sum_r
+    exp(-i lam t dz_r) v[r] for v (rest, C), dz = s_z(R1 down) - s_z(R1 up)
+    before decoding.  v is summed per dz value (at most five) first, so no
+    product is large enough for a BLAS thread, which stalls on a busy core."""
     L = len(bonds) + 1
     prep, enc_perm, dec_perm = _codec_perms(L, encoding)
-    base = np.tile((np.asarray(channel_states) << 2) | (prep << 1), len(PAULI_AXIS_STATES))
-    inputs = np.repeat(np.array(PAULI_AXIS_STATES), len(channel_states), axis=0)
-    runs = np.arange(len(inputs))
-    psi = np.zeros((1 << L, len(runs)), dtype=complex)
-    psi[base, runs] = inputs[:, 0]
-    psi[base | 1, runs] = inputs[:, 1]
+    base = (np.asarray(channel_states) << 2) | (prep << 1)
+    psi = np.zeros((1 << L, 2 * len(base)), dtype=complex)
+    psi[np.concatenate((base, base | 1)), np.arange(2 * len(base))] = 1.0
     # R1 is the most significant bit of the decoded basis index
     sz = (2 * _popcounts(L) - L)[dec_perm].reshape(2, -1)
-    phases = _dephasing_phases(lams, t, sz[0] - sz[1])
-    q = _evolve_sectors(bonds, psi[enc_perm], t)[dec_perm].reshape(2, -1, len(runs))
-    return inputs, np.sum(np.abs(q) ** 2, axis=1), phases @ (q[0] * np.conj(q[1]))
+    dz, group = np.unique(sz[0] - sz[1], return_inverse=True)
+    phases = _dephasing_phases(lams, t, dz)
+    q = _evolve_sectors(bonds, psi[enc_perm], t)[dec_perm].reshape(2, -1, 2, len(base))
+    return q, lambda v: phases @ _real_gemm(np.eye(len(dz))[:, group], v)
 
 
 def _check_finite_time(t: float) -> None:
@@ -435,13 +424,16 @@ def _check_finite_time(t: float) -> None:
 
 
 def _mean_fidelities(pipeline, target: str) -> np.ndarray:
-    """Per-shot fidelity to each run's input (Z-corrected for target "z"),
-    averaged over runs."""
-    inputs, pops, coh = pipeline
-    a0, a1 = inputs.T
+    """Per-shot fidelity to the target T (Z for "z"), averaged over all inputs
+    and channel states: with one Kraus term K_r[R1, x] = phase * q[R1, r, x]
+    of the R1 channel per rest-of-chain state r, it is (2 + sum_r
+    |tr(T^dag K_r)|^2) / 6 (Horodecki et al., PRA 60, 1888 (1999); Nielsen,
+    Phys. Lett. A 303, 249 (2002))."""
+    q, dephase = pipeline
+    k00, k11 = q[0, :, 0], q[1, :, 1]
     sign = -1.0 if target == "z" else 1.0
-    f = (np.abs(a0) ** 2 * pops[0] + np.abs(a1) ** 2 * pops[1]
-         + 2.0 * sign * np.real(np.conj(a0) * a1 * coh))
+    f = (2.0 + np.sum(np.abs(k00) ** 2 + np.abs(k11) ** 2, axis=0)
+         + 2.0 * sign * np.real(dephase(k00 * np.conj(k11)))) / 6.0
     return f.mean(axis=1)
 
 
@@ -451,8 +443,9 @@ def average_fidelity_bruteforce(spec: ChainSpec, encoding, t: float,
                                 which: str = "full",
                                 logical_target: str | None = None) -> float:
     """End-to-end average transfer fidelity, computed with no free-fermion
-    shortcuts: encode on L, evolve the full many-body state, average over
-    dephasing shots, decode on R, reduce to the R1 qubit.
+    shortcuts: encode on L, evolve the full many-body state of both logical
+    basis branches, decode on R, reduce to the R1 qubit's Kraus terms, and
+    average over inputs in closed form and over dephasing shots.
 
     encoding: "dfs", "ndfs", or a pair of two-bit tuples spanning a custom
     register subspace.  The channel starts either maximally mixed
@@ -531,9 +524,11 @@ def dephasing_protection_report(spec: ChainSpec, deph: DephasingModel, t: float,
     f = _mean_fidelities(_run_pipeline(omega.bonds, "dfs", t, channel_states, lams), "identity")
     dev = float(np.max(np.abs(f[1:] - f[0])))
 
-    # NDFS coherence: |+> input (PAULI_AXIS_STATES[2]), coherence ratio per shot
-    plus = slice(2 * len(channel_states), 3 * len(channel_states))
-    coh = _run_pipeline(omega.bonds, "ndfs", t, channel_states, lams)[2][:, plus].mean(axis=1)
+    # NDFS coherence of the |+> input, whose output is (x = 0 + x = 1)/sqrt 2 by
+    # linearity; the ratio to the undephased run drops that normalisation
+    q, dephase = _run_pipeline(omega.bonds, "ndfs", t, channel_states, lams)
+    plus = q.sum(axis=2)
+    coh = dephase(plus[0] * np.conj(plus[1])).mean(axis=1)
     shots = coh[1:] / coh[0]
     measured = float(np.mean(shots.real))
     stderr = float(np.std(shots.real, ddof=1) / np.sqrt(len(shots)))

@@ -229,11 +229,15 @@ class TestParseConfig:
     ])
     def test_option_the_command_ignores_is_usage_error(self, capsys, argv):
         # each used to be accepted and ignored: phases wrote CSV for
-        # --format json, and verify wrote the default report
+        # --format json, and verify wrote the default report; the usage
+        # line is the command's own, which lists the options it takes
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"usage: dfsqst {argv[0]} " in err
+        assert f"dfsqst {argv[0]}: error: unrecognized arguments: {argv[1]}" in err
 
     @settings(max_examples=100, deadline=None)
     @given(args=st.sampled_from(["sweep", "verify", "oracle", "phases"]).flatmap(_argv))

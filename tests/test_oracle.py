@@ -11,7 +11,7 @@ from dfsqst.oracle import (MAX_SITES, OccupationPattern, DephasingModel,
                            build_spin_hamiltonian, spin_hamiltonian_from_coupling,
                            evolve_state, jw_phase_prediction, phase_table,
                            average_fidelity_bruteforce, dephasing_protection_report,
-                           REMAINING_SUBSPACES, PAULI_AXIS_STATES,
+                           REMAINING_SUBSPACES,
                            _evolve_sectors, _sector_svds, _codec_perms)
 
 
@@ -211,6 +211,13 @@ class TestSectorEvolve:
             dephasing_protection_report(spec, deph, spec.tau, which="full")
 
 
+# Six Pauli-axis states: exact 2-design average for qubit channels.
+PAULI_AXIS_STATES = tuple(
+    np.array(v, dtype=complex) / np.linalg.norm(v)
+    for v in ([1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j])
+)
+
+
 def dense_average_fidelity(spec, encoding, t, deph=None, target="identity"):
     """The oracle pipeline as a per-state loop over the dense eigh of H."""
     H = build_spin_hamiltonian(spec, "full")
@@ -237,7 +244,8 @@ def dense_average_fidelity(spec, encoding, t, deph=None, target="identity"):
 
 
 @pytest.mark.parametrize("encoding,target", [("dfs", "identity"), ("ndfs", "z"),
-                                             (REMAINING_SUBSPACES[2], "identity")])
+                                             (REMAINING_SUBSPACES[2], "identity"),
+                                             (REMAINING_SUBSPACES[1], "z")])
 @pytest.mark.parametrize("dephased", [False, True])
 def test_bruteforce_matches_dense_loop(encoding, target, dephased):
     spec = derive_parameters(2, 3, 1.0, 0.3)  # L = 7
@@ -247,6 +255,34 @@ def test_bruteforce_matches_dense_loop(encoding, target, dephased):
                                           logical_target=target)
         assert got == pytest.approx(dense_average_fidelity(spec, encoding, t, deph, target),
                                     abs=1e-12)
+
+
+def test_maximally_mixed_batch_is_two_branches_per_channel_state(monkeypatch):
+    # L = 9: 2^5 channel basis states, each evolved as its x = 0 and x = 1
+    # logical branch only, in one batch
+    columns, evolve = [], oracle._evolve_sectors
+    monkeypatch.setattr(oracle, "_evolve_sectors",
+                        lambda b, psi, t: columns.append(psi.shape[1]) or evolve(b, psi, t))
+    spec = derive_parameters(2, 5, 1.0, 0.3)
+    average_fidelity_bruteforce(spec, "dfs", spec.tau)
+    assert columns == [2 << 5]
+
+
+@pytest.mark.parametrize("encoding", ["dfs", "ndfs", *REMAINING_SUBSPACES])
+def test_pipeline_dephase_equals_per_rest_state_phases(encoding):
+    # dephase(v) sums v per dz value before applying the phases; it must
+    # equal the literal (shots, rest) phase matrix times v
+    spec = derive_parameters(2, 3, 1.0, 0.3)  # L = 7
+    bonds = build_full_coupling_matrix(spec).bonds
+    L = len(bonds) + 1
+    lams = np.array([0.0, 0.7, -1.3, 2.9])
+    _, dephase = oracle._run_pipeline(bonds, encoding, 0.8, np.arange(8), lams)
+    dec = _codec_perms(L, encoding)[2]
+    sz = (2 * oracle._popcounts(L) - L)[dec].reshape(2, -1)
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(1 << (L - 1), 6)) + 1j * rng.normal(size=(1 << (L - 1), 6))
+    expected = np.exp(-1j * 0.8 * np.outer(lams, sz[0] - sz[1])) @ v
+    np.testing.assert_allclose(dephase(v), expected, rtol=0, atol=1e-13)
 
 
 class TestJwPhases:
