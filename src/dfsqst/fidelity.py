@@ -197,7 +197,10 @@ def _point_fidelities(n: int, N: int, ratio: float, t_choice,
     # extreme ratios or times overflow the spectral sums
     if not np.all(np.isfinite([*vars(elems).values(), *fids])):
         raise ValueError(f"non-finite result at N = {N}, ratio = {ratio!r}, t = {t!r}")
-    return [SweepRow(N=N, n=n, ratio=ratio, t=t, encoding=enc, fidelity=f)
+    # a fidelity is at most 1, but rounding can put the formula a few ulps
+    # above it (up to 1 + 2.7e-15 seen at N = 1); only the rows are clipped,
+    # so f_dfs/f_ndfs still show a sign error on non-unitary elements
+    return [SweepRow(N=N, n=n, ratio=ratio, t=t, encoding=enc, fidelity=min(max(f, 0.0), 1.0))
             for enc, f in zip(encodings, fids)]
 
 

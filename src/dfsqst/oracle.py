@@ -9,9 +9,11 @@ decomposition (``_sector_svds``) builds each rectangular B straight from
 the chain's bonds and takes its SVD; it depends on the bonds only, so it
 is computed once per chain and cached, keyed on the bonds' float64 bytes,
 for the last few chains (at most about 7 MB each, at L = 12).  The apply
-step (``_evolve_sectors``) evolves a whole batch of states at any t with
-real GEMMs (sector L - m reuses the SVD of sector m); neither part forms
-the 2^L x 2^L matrix.
+step (``_evolve_basis``) evolves basis states at any t: each lies in one
+sector and one half of it, so its column needs a row of U or W and two
+real GEMMs in that sector alone (sector L - m reuses the SVD of sector m),
+written straight into the caller's row order.  Only the decomposition is
+independent of the input; neither part forms the 2^L x 2^L matrix.
 ``spin_hamiltonian_from_coupling`` and ``evolve_state``, a full-matrix
 eigendecomposition, are kept as the dense reference that the core is
 tested against.  The oracle is used to validate, by brute force, what
@@ -170,9 +172,42 @@ def spin_hamiltonian_from_coupling(omega: CouplingMatrix) -> np.ndarray:
 
 
 def evolve_state(H: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iHt) psi via full Hermitian eigendecomposition (dense reference)."""
+    """exp(-iHt) psi via full Hermitian eigendecomposition (dense reference);
+    psi is one state or a matrix whose columns are states."""
     w, V = np.linalg.eigh(H)
-    return V @ (np.exp(-1j * w * t) * (V.conj().T @ psi))
+    return (V * np.exp(-1j * w * t)) @ (V.conj().T @ psi)
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_layout(L: int) -> tuple:
+    """How the basis of L sites splits into the chiral blocks of H.
+
+    Returns (blocks, pop, half, slot).  blocks[k] is the pair of basis-index
+    lists that sector k's block acts on: for k <= L/2 the states with k up
+    spins and an even (first list) or odd (second) number of them on odd
+    sites, from which `_sector_svds` builds B; for k > L/2 the spin flip
+    2^L - 1 - s of sector L - k's pair, so that sector reuses that SVD.  pop[s]
+    is the sector of basis index s, and half[s] (0 for the first list, 1 for
+    the second) and slot[s] place it: s = blocks[pop[s]][half[s]][slot[s]].
+    Every array is read-only, as each cache hit hands out the same ones.
+    """
+    pop = _popcounts(L)
+    odd_sites = sum(1 << k for k in range(1, L, 2))
+    parity = pop[np.arange(1 << L) & odd_sites] & 1
+    low = [(np.flatnonzero((pop == m) & (parity == 0)),
+            np.flatnonzero((pop == m) & (parity == 1))) for m in range(L // 2 + 1)]
+    top = (1 << L) - 1
+    # the middle sector of even L is its own flip image and stays unflipped
+    blocks = tuple(low + [(top - e, top - o) for e, o in reversed(low[:(L + 1) // 2])])
+    half = np.empty(1 << L, dtype=np.intp)
+    slot = np.empty(1 << L, dtype=np.intp)
+    for pair in blocks:
+        for h, rows in enumerate(pair):
+            half[rows] = h
+            slot[rows] = np.arange(len(rows))
+    for a in (pop, half, slot, *(a for pair in blocks for a in pair)):
+        a.setflags(write=False)
+    return blocks, pop, half, slot
 
 
 # Chains whose sector decompositions `_sector_svds` keeps.  An entry is
@@ -194,53 +229,61 @@ def _sector_svds(bond_bytes: bytes) -> tuple:
     """
     bonds = np.frombuffer(bond_bytes)
     L = len(bonds) + 1
-    pop = _popcounts(L)
-    odd_sites = sum(1 << k for k in range(1, L, 2))
-    parity = pop[np.arange(1 << L) & odd_sites] & 1
     sectors = []
-    for m in range(L // 2 + 1):
-        even = np.flatnonzero((pop == m) & (parity == 0))
-        odd = np.flatnonzero((pop == m) & (parity == 1))
+    for even, odd in _sector_layout(L)[0][:L // 2 + 1]:
         U, S, Wt = np.linalg.svd(_chiral_block(bonds, even, odd), full_matrices=False)
-        for a in (even, odd, U, S, Wt):
+        for a in (U, S, Wt):
             a.setflags(write=False)
         sectors.append((even, odd, U, S, Wt))
     return tuple(sectors)
 
 
-def _evolve_sectors(bonds: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iHt) applied to every column of psi, H the XX chain of `bonds`,
-    one total-S_z sector at a time, without forming H.
+def _evolve_basis(bonds: np.ndarray, starts, t: float, rows=None) -> np.ndarray:
+    """exp(-iHt) applied to the basis states `starts`, H the XX chain of
+    `bonds`, without forming H: column j holds <s|exp(-iHt)|starts[j]> in
+    row rows[s] (row s if rows is None).
 
     Every hop moves one up spin between an odd and an even site, so it flips
     the parity of the number of up spins on odd sites: in each sector H is
     the chiral block [[0, B], [B^T, 0]] between the even- and odd-parity
-    states.  With the thin SVD B = U S W^T, exp(-iHt) sends (x_e, x_o) to
+    states.  With the thin SVD B = U S W^T, exp(-iHt) sends the even-half
+    basis state e_i to
 
-        x_e + U [(cos St - 1) U^T x_e - i sin St W^T x_o],
-        x_o + W [(cos St - 1) W^T x_o - i sin St U^T x_e],
+        e_i + U (cos St - 1) U[i]^T  on the even half,
+        -i W sin St U[i]^T           on the odd half,
 
-    with cos St - 1 taken as -2 sin^2(St/2) so that small St loses no digits.
-    The SVDs come from `_sector_svds`, computed once per chain and cached by
-    the bonds' bytes, so a call on a chain seen before is only these GEMMs.
-    The global spin flip s -> 2^L - 1 - s leaves H unchanged and maps
-    sector m onto sector L - m, so sector L - m reuses U, S, W on the
-    flipped rows.  Every sector is evolved, touched or not, so a call costs
-    the same whatever the input.  U and W are real, so each product is one
-    real GEMM on the interleaved real and imaginary parts.
+    and an odd-half basis state the same way with U and W exchanged; cos St - 1
+    is taken as -2 sin^2(St/2) so that small St loses no digits.  U and W are
+    real, so the first block is real and the second imaginary, and the
+    input-side product is a row pick.  Each basis state lies in one sector
+    and one half, so each sector's two GEMMs run only on the columns that
+    start there, and write straight into their rows of the output.  The
+    global spin flip s -> 2^L - 1 - s leaves H unchanged and maps sector m
+    onto sector L - m, which reuses U, S, W on the flipped rows
+    (`_sector_layout`).  The SVDs come from `_sector_svds`, computed once per
+    chain and cached by the bonds' bytes; only they are independent of the
+    input, and a call on a chain seen before costs the GEMMs of the sectors
+    its starts occupy.
     """
     bonds = np.asarray(bonds, dtype=float)
     L = len(bonds) + 1
-    top = (1 << L) - 1
-    out = np.array(psi, dtype=complex)
-    for m, (even, odd, U, S, Wt) in enumerate(_sector_svds(bonds.tobytes())):
+    blocks, pop, half, slot = _sector_layout(L)
+    svds = _sector_svds(bonds.tobytes())
+    starts = np.asarray(starts, dtype=np.intp)
+    rows = np.arange(1 << L) if rows is None else np.asarray(rows)
+    out = np.zeros((1 << L, len(starts)), dtype=complex)
+    block = 2 * pop[starts] + half[starts]
+    for b in np.unique(block):
+        cols = np.flatnonzero(block == b)
+        k, h = divmod(int(b), 2)
+        _, _, U, S, Wt = svds[min(k, L - k)]
+        same, other = (U, Wt.T) if h == 0 else (Wt.T, U)
+        picked = same[slot[starts[cols]]].T  # U[i]^T (W[i]^T) for each column
         cos1 = (-2.0 * np.sin(S * t / 2) ** 2)[:, None]
         sin = np.sin(S * t)[:, None]
-        # keyed by sector, so the self-flipped middle sector of even L runs once
-        for e, o in {m: (even, odd), L - m: (top - even, top - odd)}.values():
-            ue, wo = _real_gemm(U.T, out[e]), _real_gemm(Wt, out[o])
-            out[e] += _real_gemm(U, cos1 * ue - 1j * sin * wo)
-            out[o] += _real_gemm(Wt.T, cos1 * wo - 1j * sin * ue)
+        out.real[rows[blocks[k][h]][:, None], cols] = same @ (cos1 * picked)
+        out.real[rows[starts[cols]], cols] += 1.0
+        out.imag[rows[blocks[k][1 - h]][:, None], cols] = other @ (-sin * picked)
     return out
 
 
@@ -305,7 +348,7 @@ def phase_table(n: int) -> list[PhaseRow]:
         raise ValueError("phase table capped at n = 3 (128 basis states)")
     spec = derive_parameters(n=n, N=3, g_C=1.0, g_I=0.1)
     L = 2 * n + 1
-    U = _evolve_sectors(_coupling_for(spec, "effective").bonds, np.eye(1 << L), spec.tau)
+    U = _evolve_basis(_coupling_for(spec, "effective").bonds, np.arange(1 << L), spec.tau)
 
     rows = []
     for s in range(1 << L):
@@ -397,10 +440,13 @@ def _dephasing_phases(lams, t: float, sz) -> np.ndarray:
 
 
 def _run_pipeline(bonds: np.ndarray, encoding, t: float, channel_states, lams):
-    """Prepare, encode on L, evolve and decode on R, as one batch, the two
-    logical basis branches of every channel state: column x * C + c starts
-    from logical x, channel state channel_states[c] and the right register
-    in vacuum.  By linearity these fix the output of every input.  Returns
+    """Prepare, encode on L, evolve and decode on R the two logical basis
+    branches of every channel state: column x * C + c starts from logical x,
+    channel state channel_states[c] and the right register in vacuum.  By
+    linearity these fix the output of every input.  Each branch is one basis
+    state once encoded, so `_evolve_basis` evolves it in its own sector only
+    and writes it straight to its decoded rows; no state batch, encode
+    gather or decode gather is formed.  Returns
     the decoded amplitudes q[R1, rest, x, c] and dephase(v): per shot, sum_r
     exp(-i lam t dz_r) v[r] for v (rest, C), dz = s_z(R1 down) - s_z(R1 up)
     before decoding.  v is summed per dz value (at most five) first, so no
@@ -408,13 +454,14 @@ def _run_pipeline(bonds: np.ndarray, encoding, t: float, channel_states, lams):
     L = len(bonds) + 1
     prep, enc_perm, dec_perm = _codec_perms(L, encoding)
     base = (np.asarray(channel_states) << 2) | (prep << 1)
-    psi = np.zeros((1 << L, 2 * len(base)), dtype=complex)
-    psi[np.concatenate((base, base | 1)), np.arange(2 * len(base))] = 1.0
+    # encoded state s holds the amplitude of logical state enc_perm[s], and
+    # evolved state s lands on decoded row argsort(dec_perm)[s]
+    starts = np.argsort(enc_perm)[np.concatenate((base, base | 1))]
     # R1 is the most significant bit of the decoded basis index
     sz = (2 * _popcounts(L) - L)[dec_perm].reshape(2, -1)
     dz, group = np.unique(sz[0] - sz[1], return_inverse=True)
     phases = _dephasing_phases(lams, t, dz)
-    q = _evolve_sectors(bonds, psi[enc_perm], t)[dec_perm].reshape(2, -1, 2, len(base))
+    q = _evolve_basis(bonds, starts, t, np.argsort(dec_perm)).reshape(2, -1, 2, len(base))
     return q, lambda v: phases @ _real_gemm(np.eye(len(dz))[:, group], v)
 
 

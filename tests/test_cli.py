@@ -167,6 +167,23 @@ class TestParseConfig:
             main(["verify", "--shots", "1"])
         assert exc.value.code == 2
 
+    def test_shots_at_the_cap_accepted(self):
+        assert parse_config(["verify", "--shots", str(cli.MAX_SHOTS)]).shots == cli.MAX_SHOTS
+
+    # parse_config only: an over-cap value is rejected before any work starts
+    @settings(max_examples=40, deadline=None)
+    @given(args=_argv("verify"),
+           shots=st.integers(cli.MAX_SHOTS + 1, 10 ** 12) | st.just(10 ** 400),
+           in_config=st.booleans())
+    def test_shots_over_the_cap_are_usage_errors(self, args, shots, in_config):
+        argv, config = args
+        if in_config and "--shots" not in argv:  # a flag would win over the file
+            config = {**config, "shots": shots}
+        else:
+            argv = argv + ["--shots", str(shots)]
+        cfg, _ = _run(argv, config, parse_config)
+        assert isinstance(cfg, SystemExit) and cfg.code == 2
+
     def test_config_file_unknown_key(self, tmp_path):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"bogus": 1}))
@@ -250,6 +267,7 @@ class TestParseConfig:
         if cfg.time != "tau":
             floats.append(cfg.time)
         assert all(math.isfinite(v) for v in floats)
+        assert cfg.shots <= cli.MAX_SHOTS
 
 
 class TestSweepCommand:

@@ -177,6 +177,16 @@ class TestSweep:
             assert on_main == [threshold == 10] * 16
         assert runs[10] == runs[9]
 
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(0, 10).map(lambda k: 2 * k + 1),
+           log_ratio=st.floats(-3.0, 0.0),
+           t=st.just("tau") | st.floats(0.0, 1e4))
+    # N = 1 at ratio 1e-3: the formulas give 1 + 2.7e-15 there
+    @example(N=1, log_ratio=-3.0, t="tau")
+    def test_rows_within_unit_interval(self, N, log_ratio, t):
+        rows = sweep_fidelity(2, [N], [10.0 ** log_ratio], t_choice=t).rows
+        assert all(0.0 <= r.fidelity <= 1.0 for r in rows)
+
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
             sweep_fidelity(2, [], [0.1])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dfsqst import oracle
 from dfsqst.model import (CouplingMatrix, derive_parameters,
@@ -12,7 +12,7 @@ from dfsqst.oracle import (MAX_SITES, OccupationPattern, DephasingModel,
                            evolve_state, jw_phase_prediction, phase_table,
                            average_fidelity_bruteforce, dephasing_protection_report,
                            REMAINING_SUBSPACES,
-                           _evolve_sectors, _sector_svds, _codec_perms)
+                           _evolve_basis, _sector_svds, _codec_perms)
 
 
 def single_bond(g):
@@ -64,6 +64,17 @@ class TestEvolveState:
         np.testing.assert_allclose(evolve_state(H, psi, 0.0), psi, atol=1e-14)
         np.testing.assert_allclose(evolve_state(np.zeros((4, 4)), psi, 3.7), psi, atol=1e-14)
 
+    def test_batch_equals_per_column_calls(self):
+        rng = np.random.default_rng(17)
+        for L in (2, 5, 8):
+            H = spin_hamiltonian_from_coupling(chain(rng.uniform(-1.5, 1.5, L - 1)))
+            psi = rng.normal(size=(1 << L, 5)) + 1j * rng.normal(size=(1 << L, 5))
+            psi /= np.linalg.norm(psi, axis=0)
+            out = evolve_state(H, psi, 2.1)
+            for j in range(5):
+                np.testing.assert_allclose(out[:, j], evolve_state(H, psi[:, j], 2.1),
+                                           rtol=0, atol=1e-14)
+
     def test_rabi_half_period_full_transfer(self):
         g = 0.9
         H = spin_hamiltonian_from_coupling(single_bond(g))
@@ -113,32 +124,34 @@ def chain(offdiag):
 class TestSectorEvolve:
     @settings(max_examples=40, deadline=None)
     @given(L=st.integers(2, 10), t=st.floats(0.0, 20.0), seed=st.integers(0, 2 ** 32 - 1))
+    # even L: the middle sector is its own spin-flip image, so its slot
+    # table and its rows must come from the same lists (a mismatch gave
+    # errors of 1.0 there); every draw includes starts in that sector
+    @example(L=2, t=1.3, seed=0)
+    @example(L=4, t=7.9, seed=1)
+    @example(L=10, t=2.6, seed=2)
     def test_matches_dense_evolve_state(self, L, t, seed):
         # signed disordered bonds with one negative and (L > 2) one zero
-        # bond; a batch whose columns span several sectors, with some
-        # sectors left empty; odd and even L cover the flipped sectors and
-        # the self-flipped middle sector
+        # bond; starts drawn from the whole basis and from the middle
+        # sector, in random order, some repeated, written to permuted rows
         rng = np.random.default_rng(seed)
         bonds = rng.uniform(0.1, 2.0, L - 1) * rng.choice([-1.0, 1.0], L - 1)
         k = rng.permutation(L - 1)
         bonds[k[0]] = -abs(bonds[k[0]])
         if L > 2:
             bonds[k[1]] = 0.0
-        H = spin_hamiltonian_from_coupling(chain(bonds))
-        pop = np.array([bin(s).count("1") for s in range(1 << L)])
-        psi = rng.normal(size=(1 << L, 3)) + 1j * rng.normal(size=(1 << L, 3))
-        psi[np.isin(pop, rng.choice(L + 1, size=L // 2, replace=False))] = 0.0
-        psi /= np.linalg.norm(psi, axis=0)
-        out = _evolve_sectors(bonds, psi, t)
-        for j in range(psi.shape[1]):
-            np.testing.assert_allclose(out[:, j], evolve_state(H, psi[:, j], t),
-                                       rtol=0, atol=1e-12)
+        dense = evolve_state(spin_hamiltonian_from_coupling(chain(bonds)), np.eye(1 << L), t)
+        middle = np.flatnonzero(oracle._popcounts(L) == L // 2)
+        starts = np.concatenate((rng.permutation(1 << L)[:12], rng.permutation(middle)[:8]))
+        starts = rng.permutation(np.concatenate((starts, starts[:5])))
+        rows = rng.permutation(1 << L)
+        out = _evolve_basis(bonds, starts, t, rows)
+        np.testing.assert_allclose(out[rows], dense[:, starts], rtol=0, atol=1e-12)
 
-    def test_same_work_for_every_input(self, monkeypatch):
+    def test_decomposition_does_not_depend_on_the_input(self, monkeypatch):
         # the first call on a chain decomposes the chiral blocks of sectors
-        # m <= L/2 whichever sectors the batch occupies, later calls on it
-        # at any t decompose none, and another chain all of them again, so
-        # a call's cost does not depend on the input states; at L = 9
+        # m <= L/2 whichever sectors its starts occupy, later calls on it at
+        # any t decompose none, and another chain all of them again; at L = 9
         # (sites 1, 3, 5, 7 odd) sector m splits into even- and odd-parity
         # states as 1+0, 5+4, 16+20, 40+44, 66+60
         blocks = [(1, 0), (5, 4), (16, 20), (40, 44), (66, 60)]
@@ -148,23 +161,21 @@ class TestSectorEvolve:
                             lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
         _sector_svds.cache_clear()
         for s, t in ((0, 1.0), (0b111, 2.5), ((1 << 9) - 1, 0.3)):
-            psi = np.zeros((1 << 9, 1), dtype=complex)
-            psi[s] = 1.0
-            _evolve_sectors(bonds, psi, t)
+            _evolve_basis(bonds, [s], t)
         assert shapes == blocks
-        _evolve_sectors(2.0 * bonds, psi, 1.0)
+        _evolve_basis(2.0 * bonds, [0], 1.0)
         assert shapes == blocks * 2
 
     def test_cache_hit_is_bitwise_a_cold_call(self):
         rng = np.random.default_rng(5)
         bonds = rng.uniform(-2.0, 2.0, 9)
-        psi = rng.normal(size=(1 << 10, 4)) + 1j * rng.normal(size=(1 << 10, 4))
+        starts = rng.integers(0, 1 << 10, 6)
         _sector_svds.cache_clear()
-        _evolve_sectors(bonds, psi, 0.4)
-        hit = _evolve_sectors(bonds, psi, 1.7)
+        _evolve_basis(bonds, starts, 0.4)
+        hit = _evolve_basis(bonds, starts, 1.7)
         assert _sector_svds.cache_info().hits == 1
         _sector_svds.cache_clear()
-        np.testing.assert_array_equal(hit, _evolve_sectors(bonds, psi, 1.7))
+        np.testing.assert_array_equal(hit, _evolve_basis(bonds, starts, 1.7))
 
     def test_cached_arrays_are_read_only(self):
         for sector in _sector_svds(np.linspace(0.5, 1.5, 6).tobytes()):
@@ -183,13 +194,32 @@ class TestSectorEvolve:
         _sector_svds.cache_clear()
         for b in (bonds, flipped, bonds[:-1]):
             L = len(b) + 1
-            psi = rng.normal(size=(1 << L, 2)) + 1j * rng.normal(size=(1 << L, 2))
-            out = _evolve_sectors(b, psi, 2.3)
-            H = spin_hamiltonian_from_coupling(chain(b))
-            for j in range(2):
-                np.testing.assert_allclose(out[:, j], evolve_state(H, psi[:, j], 2.3),
-                                           rtol=0, atol=1e-12)
+            starts = rng.integers(0, 1 << L, 4)
+            out = _evolve_basis(b, starts, 2.3)
+            dense = evolve_state(spin_hamiltonian_from_coupling(chain(b)), np.eye(1 << L), 2.3)
+            np.testing.assert_allclose(out, dense[:, starts], rtol=0, atol=1e-12)
         assert _sector_svds.cache_info().misses == 3
+
+    @pytest.mark.parametrize("encoding", ["dfs", "ndfs"])
+    def test_one_channel_state_runs_only_the_sectors_it_occupies(self, monkeypatch, encoding):
+        # L = 11: logical 0 and 1 of channel state c start as |b_0, c, vac>
+        # and |b_1, c, vac>; with every other sector's U, S and W taken away
+        # the evolve must give the same columns, so it ran no GEMM there
+        spec = derive_parameters(2, 7, 1.0, 0.2)
+        bonds = build_full_coupling_matrix(spec).bonds
+        L, c = len(bonds) + 1, 0b1011001
+        codewords = {"dfs": (0b10, 0b01), "ndfs": (0b00, 0b11)}[encoding]
+        occupied = {min(k, L - k) for k in (bin(c).count("1") + bin(w).count("1")
+                                            for w in codewords)}
+        assert len(occupied) == {"dfs": 1, "ndfs": 2}[encoding]
+        lams = np.zeros(1)
+        full, _ = oracle._run_pipeline(bonds, encoding, 0.7 * spec.tau, [c], lams)
+        svds = _sector_svds(bonds.tobytes())
+        kept = tuple(sec if m in occupied else sec[:2] + (None, None, None)
+                     for m, sec in enumerate(svds))
+        monkeypatch.setattr(oracle, "_sector_svds", lambda key: kept)
+        only, _ = oracle._run_pipeline(bonds, encoding, 0.7 * spec.tau, [c], lams)
+        np.testing.assert_array_equal(only, full)
 
     def test_pipeline_builds_no_dense_hamiltonian(self, monkeypatch):
         # the oracle entry points evolve through the sector blocks only
@@ -260,9 +290,10 @@ def test_bruteforce_matches_dense_loop(encoding, target, dephased):
 def test_maximally_mixed_batch_is_two_branches_per_channel_state(monkeypatch):
     # L = 9: 2^5 channel basis states, each evolved as its x = 0 and x = 1
     # logical branch only, in one batch
-    columns, evolve = [], oracle._evolve_sectors
-    monkeypatch.setattr(oracle, "_evolve_sectors",
-                        lambda b, psi, t: columns.append(psi.shape[1]) or evolve(b, psi, t))
+    columns, evolve = [], oracle._evolve_basis
+    monkeypatch.setattr(oracle, "_evolve_basis",
+                        lambda b, starts, t, rows: columns.append(len(starts))
+                        or evolve(b, starts, t, rows))
     spec = derive_parameters(2, 5, 1.0, 0.3)
     average_fidelity_bruteforce(spec, "dfs", spec.tau)
     assert columns == [2 << 5]
