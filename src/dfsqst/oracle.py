@@ -25,11 +25,13 @@ the free-fermion engine claims:
   phase factors Gamma0*Gamma1*Gamma2 predicted per occupation pattern,
 * the CNOT encode/transfer/decode pipeline, run on the two logical basis
   branches of each channel state, reproduces the closed fidelity formulas
-  for the DFS and non-DFS logical encodings,
+  for the DFS and non-DFS logical encodings; its codec is a map on the four
+  patterns of each end's register pair, so it forms no 2^L permutation,
 * collective dephasing (a classical random scalar field coupled to the
   total spin-z projection) leaves the DFS pipeline exactly invariant
   while suppressing non-DFS coherences by the Gaussian factor
-  exp(-8 sigma^2 t^2).
+  exp(-8 sigma^2 t^2); the phase difference between the decoded R1 = 0
+  and R1 = 1 rows depends only on the decoded R2.
 
 Basis convention: basis index s encodes site k (model ordering, L1 first,
 R1 last) in bit k, bit 1 = spin up.  A spin product state is identified
@@ -124,8 +126,11 @@ class DephasingModel:
     def __post_init__(self):
         if not 0 <= self.sigma_lambda < math.inf:
             raise ValueError(f"sigma_lambda must be finite and >= 0, got {self.sigma_lambda!r}")
-        if self.samples < 1:
-            raise ValueError("need at least one dephasing sample")
+        for name, least in (("samples", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+                    or value < least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
     def draw(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -219,9 +224,9 @@ _SVD_CACHE_CHAINS = 4
 @functools.lru_cache(maxsize=_SVD_CACHE_CHAINS)
 def _sector_svds(bond_bytes: bytes) -> tuple:
     """Per-sector decomposition of the XX chain whose float64 bonds are
-    `bond_bytes`: for each sector m <= L/2 the tuple (even, odd, U, S, Wt),
-    where even/odd are the basis indices of the even- and odd-parity states
-    with m up spins and U S Wt is the thin SVD of their chiral block B.
+    `bond_bytes`: for each sector m <= L/2 the tuple (U, S, Wt), the thin
+    SVD of the chiral block B between the even- and odd-parity states with
+    m up spins (the basis-index lists of `_sector_layout`).
 
     It depends on the bonds only, not on t or the states, so it is cached,
     keyed on the exact bytes (which also carry the chain length); every
@@ -234,7 +239,7 @@ def _sector_svds(bond_bytes: bytes) -> tuple:
         U, S, Wt = np.linalg.svd(_chiral_block(bonds, even, odd), full_matrices=False)
         for a in (U, S, Wt):
             a.setflags(write=False)
-        sectors.append((even, odd, U, S, Wt))
+        sectors.append((U, S, Wt))
     return tuple(sectors)
 
 
@@ -276,7 +281,7 @@ def _evolve_basis(bonds: np.ndarray, starts, t: float, rows=None) -> np.ndarray:
     for b in np.unique(block):
         cols = np.flatnonzero(block == b)
         k, h = divmod(int(b), 2)
-        _, _, U, S, Wt = svds[min(k, L - k)]
+        U, S, Wt = svds[min(k, L - k)]
         same, other = (U, Wt.T) if h == 0 else (Wt.T, U)
         picked = same[slot[starts[cols]]].T  # U[i]^T (W[i]^T) for each column
         cos1 = (-2.0 * np.sin(S * t / 2) ** 2)[:, None]
@@ -296,11 +301,6 @@ def _chiral_block(bonds: np.ndarray, even: np.ndarray, odd: np.ndarray) -> np.nd
         hop = np.flatnonzero(((odd >> b) ^ (odd >> (b + 1))) & 1)
         B[row[odd[hop] ^ (3 << b)], hop] = g
     return B
-
-
-def _real_gemm(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for real A and C-contiguous complex x, as one real GEMM."""
-    return (A @ x.view(float)).view(complex)
 
 
 def jw_phase_prediction(p: OccupationPattern, n: int) -> int:
@@ -374,19 +374,6 @@ def _popcounts(L: int) -> np.ndarray:
     return sum((s >> k) & 1 for k in range(L))
 
 
-def _pair_perm(L: int, src, lo_bit: int, hi_bit: int) -> np.ndarray:
-    """Basis permutation acting on the register pair at (lo_bit, hi_bit).
-
-    Patterns (b_lo, b_hi) are coded b_lo | b_hi << 1, and src[c] is the code
-    of the pattern whose amplitude lands on pattern c.  Returns perm with
-    (P psi)[s] = psi[perm[s]]: s with its pair bits flipped from pattern c
-    to src[c], one 4-entry lookup of the flip mask.
-    """
-    flip = [((c ^ src[c]) & 1) << lo_bit | ((c ^ src[c]) >> 1) << hi_bit for c in range(4)]
-    s = np.arange(1 << L)
-    return s ^ np.array(flip)[((s >> lo_bit) & 1) | ((s >> hi_bit) & 1) << 1]
-
-
 _PATTERNS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -403,24 +390,26 @@ def _encoding_pairs(encoding):
     return pair
 
 
-def _codec_perms(L: int, encoding):
-    """(prep_bit, encode_perm, decode_perm) for the register encoding (b0, b1).
+def _codec(encoding):
+    """(codes, decode) for the register encoding (b0, b1).
 
     One rule for every encoding: L2 is prepared in p = b0[1]; encoding sends
     the (L1, L2) pattern (x, p) to b_x and the other two patterns, in
     ascending order, onto the two patterns outside {b0, b1}, in ascending
     order; decoding is the inverse map on (R1, R2).  For "dfs" (p = 1) and
     "ndfs" (p = 0) this is exactly CNOT(L1 -> L2) and CNOT(R1 -> R2).
+    "Ascending" is the tuple order of _PATTERNS.  Both maps act on two bits
+    only: codes[x] is b_x as bits (0, 1) = (L1, L2) of the basis index, and
+    decode[h] is the decoded pattern of the evolved pattern h, both read
+    from bits (L - 1, L - 2) = (R1, R2) as R1 << 1 | R2, their _PATTERNS index.
     """
     b0, b1 = _encoding_pairs(encoding)
     p = b0[1]
     sources = [(0, p), (1, p)] + [a for a in _PATTERNS if a[1] != p]
     images = [b0, b1] + [a for a in _PATTERNS if a not in (b0, b1)]
-    enc_src, dec_src = [0] * 4, [0] * 4
-    for (a_lo, a_hi), (b_lo, b_hi) in zip(sources, images):
-        enc_src[b_lo | b_hi << 1] = a_lo | a_hi << 1
-        dec_src[a_lo | a_hi << 1] = b_lo | b_hi << 1
-    return p, _pair_perm(L, enc_src, 0, 1), _pair_perm(L, dec_src, L - 1, L - 2)
+    decode = np.empty(4, dtype=np.intp)
+    decode[[_PATTERNS.index(b) for b in images]] = [_PATTERNS.index(a) for a in sources]
+    return [b[0] | b[1] << 1 for b in (b0, b1)], decode
 
 
 def _default_target(encoding) -> str:
@@ -443,26 +432,29 @@ def _run_pipeline(bonds: np.ndarray, encoding, t: float, channel_states, lams):
     """Prepare, encode on L, evolve and decode on R the two logical basis
     branches of every channel state: column x * C + c starts from logical x,
     channel state channel_states[c] and the right register in vacuum.  By
-    linearity these fix the output of every input.  Each branch is one basis
-    state once encoded, so `_evolve_basis` evolves it in its own sector only
-    and writes it straight to its decoded rows; no state batch, encode
-    gather or decode gather is formed.  Returns
-    the decoded amplitudes q[R1, rest, x, c] and dephase(v): per shot, sum_r
+    linearity these fix the output of every input.  The codec is a map on
+    the four patterns of each end pair (`_codec`), so no 2^L permutation is
+    formed: encoded, branch x is the basis state |b_x, c, vac>, which
+    `_evolve_basis` evolves in its own sector only and writes straight to
+    its decoded row, its index with the (R1, R2) bits decoded.  Returns the
+    decoded amplitudes q[R1, rest, x, c] and dephase(v): per shot, sum_r
     exp(-i lam t dz_r) v[r] for v (rest, C), dz = s_z(R1 down) - s_z(R1 up)
-    before decoding.  v is summed per dz value (at most five) first, so no
-    product is large enough for a BLAS thread, which stalls on a busy core."""
+    before decoding.  The two differ only in the pair's spins, so dz depends
+    only on the decoded R2, the top bit of rest: v is summed per R2 value
+    first, and no product is large enough for a BLAS thread, which stalls on
+    a busy core."""
     L = len(bonds) + 1
-    prep, enc_perm, dec_perm = _codec_perms(L, encoding)
-    base = (np.asarray(channel_states) << 2) | (prep << 1)
-    # encoded state s holds the amplitude of logical state enc_perm[s], and
-    # evolved state s lands on decoded row argsort(dec_perm)[s]
-    starts = np.argsort(enc_perm)[np.concatenate((base, base | 1))]
-    # R1 is the most significant bit of the decoded basis index
-    sz = (2 * _popcounts(L) - L)[dec_perm].reshape(2, -1)
-    dz, group = np.unique(sz[0] - sz[1], return_inverse=True)
-    phases = _dephasing_phases(lams, t, dz)
-    q = _evolve_basis(bonds, starts, t, np.argsort(dec_perm)).reshape(2, -1, 2, len(base))
-    return q, lambda v: phases @ _real_gemm(np.eye(len(dz))[:, group], v)
+    codes, decode = _codec(encoding)
+    base = np.asarray(channel_states) << 2
+    s = np.arange(1 << L)
+    top = s >> (L - 2)
+    rows = s ^ ((top ^ decode[top]) << (L - 2))
+    # up spins of the evolved pair that decodes to (R1, R2), as pop[R1, R2]
+    pop = np.array([0, 1, 1, 2])[np.argsort(decode)].reshape(2, 2)
+    phases = _dephasing_phases(lams, t, 2 * (pop[0] - pop[1]))
+    q = _evolve_basis(bonds, np.concatenate([base | b for b in codes]), t, rows)
+    return (q.reshape(2, -1, 2, len(base)),
+            lambda v: phases @ v.reshape(2, -1, v.shape[1]).sum(axis=1))
 
 
 def _check_finite_time(t: float) -> None:
@@ -559,11 +551,15 @@ def dephasing_protection_report(spec: ChainSpec, deph: DephasingModel, t: float,
     That prediction holds only at the transfer time (away from it the
     decoded coherence is not the |dn,dn>/|up,up> phase alone), so t must
     equal spec.tau to a relative 1e-9; any other t, or a non-finite one,
-    raises ValueError.
+    raises ValueError, as does a model with fewer than 2 samples (no
+    standard error).
     """
     _check_finite_time(t)
     if not abs(t - spec.tau) <= 1e-9 * spec.tau:
         raise ValueError(f"the NDFS prediction holds only at t = tau = {spec.tau!r}, got t = {t!r}")
+    if deph.samples < 2:
+        raise ValueError("the NDFS check needs samples >= 2 for a standard error, "
+                         f"got {deph.samples}")
     lams = np.concatenate(([0.0], deph.draw()))  # row 0 is the undephased run
     omega = _coupling_for(spec, which)
     channel_states = np.arange(1 << (omega.order - 4))

@@ -12,7 +12,7 @@ from dfsqst.oracle import (MAX_SITES, OccupationPattern, DephasingModel,
                            evolve_state, jw_phase_prediction, phase_table,
                            average_fidelity_bruteforce, dephasing_protection_report,
                            REMAINING_SUBSPACES,
-                           _evolve_basis, _sector_svds, _codec_perms)
+                           _evolve_basis, _sector_svds, _codec)
 
 
 def single_bond(g):
@@ -215,7 +215,7 @@ class TestSectorEvolve:
         lams = np.zeros(1)
         full, _ = oracle._run_pipeline(bonds, encoding, 0.7 * spec.tau, [c], lams)
         svds = _sector_svds(bonds.tobytes())
-        kept = tuple(sec if m in occupied else sec[:2] + (None, None, None)
+        kept = tuple(sec if m in occupied else (None, None, None)
                      for m, sec in enumerate(svds))
         monkeypatch.setattr(oracle, "_sector_svds", lambda key: kept)
         only, _ = oracle._run_pipeline(bonds, encoding, 0.7 * spec.tau, [c], lams)
@@ -248,12 +248,38 @@ PAULI_AXIS_STATES = tuple(
 )
 
 
+def literal_codec(L, encoding):
+    """(prep_bit, encode_perm, decode_perm) of the codec rule as basis
+    permutations, one state at a time: (P psi)[s] = psi[perm[s]].
+
+    L2 is prepared in p = b0[1]; encoding sends the (L1, L2) pattern (x, p)
+    to b_x and the other two patterns onto the two outside {b0, b1}, both
+    in tuple order; decoding is the inverse on (R1, R2) = bits (L-1, L-2).
+    """
+    b0, b1 = {"dfs": ((0, 1), (1, 0)), "ndfs": ((0, 0), (1, 1))}.get(encoding, encoding)
+    p = b0[1]
+    patterns = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    sources = [(0, p), (1, p)] + [a for a in patterns if a[1] != p]
+    images = [b0, b1] + [a for a in patterns if a not in (b0, b1)]
+
+    def perm(src_of, lo, hi):
+        # state s, its (lo, hi) pair replaced by the pattern it takes its amplitude from
+        out = []
+        for s in range(1 << L):
+            a_lo, a_hi = src_of[(s >> lo) & 1, (s >> hi) & 1]
+            out.append(s & ~(1 << lo | 1 << hi) | a_lo << lo | a_hi << hi)
+        return np.array(out)
+
+    return (p, perm(dict(zip(images, sources)), 0, 1),
+            perm(dict(zip(sources, images)), L - 1, L - 2))
+
+
 def dense_average_fidelity(spec, encoding, t, deph=None, target="identity"):
     """The oracle pipeline as a per-state loop over the dense eigh of H."""
     H = build_spin_hamiltonian(spec, "full")
     L = len(H).bit_length() - 1
     w, V = np.linalg.eigh(H)
-    prep, enc_perm, dec_perm = _codec_perms(L, encoding)
+    prep, enc_perm, dec_perm = literal_codec(L, encoding)
     lams = deph.draw() if deph is not None else [0.0]
     sz = np.diag(total_sz_operator(L))
     zsign = np.array([1.0, -1.0]) if target == "z" else np.array([1.0, 1.0])
@@ -301,19 +327,26 @@ def test_maximally_mixed_batch_is_two_branches_per_channel_state(monkeypatch):
 
 @pytest.mark.parametrize("encoding", ["dfs", "ndfs", *REMAINING_SUBSPACES])
 def test_pipeline_dephase_equals_per_rest_state_phases(encoding):
-    # dephase(v) sums v per dz value before applying the phases; it must
-    # equal the literal (shots, rest) phase matrix times v
-    spec = derive_parameters(2, 3, 1.0, 0.3)  # L = 7
-    bonds = build_full_coupling_matrix(spec).bonds
-    L = len(bonds) + 1
+    # q must equal the literal-permutation pipeline (encode gather, evolve,
+    # decode gather), and dephase(v), which sums v per decoded R2 before
+    # applying the phases, the literal (shots, rest) phase matrix times v;
+    # the decoded rows and dz come from bits L-1 and L-2, so L = 5, 7, 9
     lams = np.array([0.0, 0.7, -1.3, 2.9])
-    _, dephase = oracle._run_pipeline(bonds, encoding, 0.8, np.arange(8), lams)
-    dec = _codec_perms(L, encoding)[2]
-    sz = (2 * oracle._popcounts(L) - L)[dec].reshape(2, -1)
     rng = np.random.default_rng(5)
-    v = rng.normal(size=(1 << (L - 1), 6)) + 1j * rng.normal(size=(1 << (L - 1), 6))
-    expected = np.exp(-1j * 0.8 * np.outer(lams, sz[0] - sz[1])) @ v
-    np.testing.assert_allclose(dephase(v), expected, rtol=0, atol=1e-13)
+    for N in (1, 3, 5):
+        bonds = build_full_coupling_matrix(derive_parameters(2, N, 1.0, 0.3)).bonds
+        L = len(bonds) + 1
+        prep, enc, dec = literal_codec(L, encoding)
+        channel = np.arange(1 << (L - 4))
+        q, dephase = oracle._run_pipeline(bonds, encoding, 0.8, channel, lams)
+        logical = [(channel << 2) | (prep << 1) | x for x in (0, 1)]
+        starts = [np.flatnonzero(enc == u)[0] for u in np.concatenate(logical)]
+        literal = _evolve_basis(bonds, starts, 0.8)[dec].reshape(q.shape)
+        np.testing.assert_allclose(q, literal, rtol=0, atol=1e-13)
+        sz = (2 * oracle._popcounts(L) - L)[dec].reshape(2, -1)
+        v = rng.normal(size=(1 << (L - 1), 6)) + 1j * rng.normal(size=(1 << (L - 1), 6))
+        expected = np.exp(-1j * 0.8 * np.outer(lams, sz[0] - sz[1])) @ v
+        np.testing.assert_allclose(dephase(v), expected, rtol=0, atol=1e-13)
 
 
 class TestJwPhases:
@@ -363,7 +396,7 @@ class TestCodec:
     @pytest.mark.parametrize("L", [5, 7, 11])
     @pytest.mark.parametrize("encoding,prep", [("dfs", 1), ("ndfs", 0)])
     def test_dfs_and_ndfs_are_the_literal_cnots(self, L, encoding, prep):
-        p, enc, dec = _codec_perms(L, encoding)
+        p, enc, dec = literal_codec(L, encoding)
         assert p == prep
         np.testing.assert_array_equal(enc, literal_cnot(L, 0, 1))
         np.testing.assert_array_equal(dec, literal_cnot(L, L - 1, L - 2))
@@ -373,9 +406,16 @@ class TestCodec:
         *((pair, pair) for pair in REMAINING_SUBSPACES)])
     def test_logical_states_encode_to_codewords_and_decode_back(self, encoding, codewords):
         # codewords (bit_1, bit_2) sit on (L1, L2) = bits (0, 1) after encoding
-        # and on (R1, R2) = bits (L-1, L-2) before decoding
+        # and on (R1, R2) = bits (L-1, L-2) before decoding, in the literal
+        # permutations and in `_codec`'s two-bit tables
         L = 7
-        p, enc, dec = _codec_perms(L, encoding)
+        p, enc, dec = literal_codec(L, encoding)
+        codes, decode = _codec(encoding)
+        assert codes == [c1 | c2 << 1 for c1, c2 in codewords]
+        for h in range(4):
+            # the evolved (R1, R2) pattern h lands, rest kept, on decoded decode[h]
+            row = np.flatnonzero(dec == h << (L - 2) | 0b10101)[0]
+            assert row == decode[h] << (L - 2) | 0b10101
         for perm in (enc, dec):
             np.testing.assert_array_equal(np.sort(perm), np.arange(1 << L))
         for x, (c1, c2) in enumerate(codewords):
@@ -495,6 +535,23 @@ class TestDephasingProtection:
             DephasingModel(sigma_lambda=0.1, samples=0)
         with pytest.raises(ValueError):
             DephasingModel(sigma_lambda=-0.1)
+
+    @pytest.mark.parametrize("name,value", [("samples", 2.5), ("samples", True),
+                                            ("seed", -1), ("seed", 1.0), ("seed", False)])
+    def test_samples_and_seed_must_be_integers_in_range(self, name, value):
+        # samples 2.5 or True constructed and then raised a TypeError on the
+        # first draw(); seed -1 was accepted until draw()
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            DephasingModel(sigma_lambda=0.1, **{name: value})
+        # numpy integers, as a seed drawn from a Generator, are integers
+        assert len(DephasingModel(0.1, samples=np.int64(3), seed=np.int64(7)).draw()) == 3
+
+    def test_report_needs_two_samples(self):
+        # one shot has no standard error: ndfs_stderr and ndfs_tolerance were nan
+        spec = derive_parameters(2, 3, 1.0, 0.1)
+        deph = DephasingModel(sigma_lambda=0.5 / spec.tau, samples=1)
+        with pytest.raises(ValueError, match="samples >= 2"):
+            dephasing_protection_report(spec, deph, spec.tau)
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_sigma_rejected(self, sigma):
