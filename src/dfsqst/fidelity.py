@@ -18,15 +18,12 @@ The sweep engine needs only those four elements of the full-chain
 propagator, and gets them from the eigenvalues alone (`register_elements`,
 the residue formula for a Jacobi matrix); the dense propagator is the
 reference it is tested against.  It evaluates them over a grid of coupling
-ratios, by default at t = tau.  Grid points are independent; a grid whose
-largest chain reaches `POOL_MIN_ORDER` sites is mapped over one thread per
-core, a smaller one serially, with the same result ordering either way.
+ratios, by default at t = tau, one grid point after another in the calling
+thread.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,18 +44,6 @@ __all__ = [
     "sweep_fidelity",
     "default_ratio_grid",
 ]
-
-# Smallest chain order (sites, N + 2n) at which a sweep maps its points over
-# a thread pool.  The eigenvalue solve (eigh_tridiagonal) holds the GIL: at
-# order 1005, 2 threads x 10 calls take as long as 20 serial calls (~0.42 s)
-# and the solve is ~21 of the ~34 ms a point takes, so only the numpy
-# gap-matrix work overlaps.  Measured on a 2-core host: the N = 1001 sweep
-# (order 1005) took 0.32-0.36 s serial against 0.28-0.32 s pooled, while on
-# the README default grid (orders 105-205) the pool costs more than it saves,
-# 0.15-0.27 s pooled against 0.12-0.14 s serial.  500 lies between the two;
-# measured in between, the crossover moves with the host's load.
-POOL_MIN_ORDER = 500
-
 
 @dataclass(frozen=True)
 class RegisterElements:
@@ -209,11 +194,10 @@ def sweep_fidelity(n: int, N_list, ratio_grid, t_choice="tau",
     """Fidelity over the (N, ratio) grid at g_C = 1.
 
     Row order is deterministic: N outer, ratio inner ascending, dfs before
-    ndfs.  When the largest chain has at least `POOL_MIN_ORDER` sites the
-    points are mapped over one thread per core, with results keyed by grid
-    index, not completion order; otherwise they run serially.  Only
-    two-qubit registers (n = 2) are supported: the fidelity formulas and
-    `register_elements` are the n = 2 ones.
+    ndfs.  The grid is checked before any point runs; the points then run
+    serially, in the calling thread.  Only two-qubit registers (n = 2) are
+    supported: the fidelity formulas and `register_elements` are the n = 2
+    ones.
     """
     if n != 2:
         raise ValueError(f"the sweep evaluates the n = 2 fidelity formulas, got n = {n}")
@@ -228,14 +212,5 @@ def sweep_fidelity(n: int, N_list, ratio_grid, t_choice="tau",
         if enc not in ("dfs", "ndfs"):
             raise ValueError(f"unknown encoding {enc!r}")
 
-    points = [(N, r) for N in N_list for r in ratios]
-
-    def task(point):
-        return _point_fidelities(n, *point, t_choice, encodings)
-
-    if max(N_list) + 2 * n < POOL_MIN_ORDER:
-        chunks = list(map(task, points))
-    else:
-        with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
-            chunks = list(pool.map(task, points))
-    return SweepResult(rows=tuple(row for chunk in chunks for row in chunk))
+    return SweepResult(rows=tuple(row for N in N_list for r in ratios
+                                  for row in _point_fidelities(n, N, r, t_choice, encodings)))

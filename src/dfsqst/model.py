@@ -20,6 +20,8 @@ module indexes into it; in particular R1 is always the *last* index.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,19 +86,30 @@ class CouplingMatrix:
         return self.site_labels.index(label)
 
 
+def _is_int(x) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """An int, float or numpy real scalar, not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def derive_parameters(n: int, N: int, g_C: float, g_I: float) -> ChainSpec:
     """Derive every coupling parameter from the four free inputs.
 
     Raises ValueError for even N (no zero-energy channel mode exists),
-    non-positive lengths, non-positive couplings, or a g_I so far from 1
-    that g0 or tau = pi/g0 leaves the floating-point range.
+    sizes that are not positive integers (bools included), couplings that
+    are not finite positive reals, or a g_I so far from 1 that g0 or
+    tau = pi/g0 leaves the floating-point range.
     """
-    if n < 1:
-        raise ValueError(f"register size must be >= 1, got {n}")
-    if N < 1 or N % 2 == 0:
-        raise ValueError(f"channel length must be a positive odd integer, got {N}")
-    if g_C <= 0 or g_I <= 0:
-        raise ValueError(f"couplings must be positive, got g_C={g_C}, g_I={g_I}")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"register size must be an integer >= 1, got {n!r}")
+    if not _is_int(N) or N < 1 or N % 2 == 0:
+        raise ValueError(f"channel length must be a positive odd integer, got {N!r}")
+    if not all(_is_real(g) and 0 < g < math.inf for g in (g_C, g_I)):
+        raise ValueError(f"couplings must be finite reals > 0, got g_C={g_C!r}, g_I={g_I!r}")
 
     kappa = (N + 1) // 2
     # sin(kappa*pi/(N+1)) = sin(pi/2) = 1 for odd N; keep the formula literal

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ChainSpec, CouplingMatrix, derive_parameters, \
-    build_full_coupling_matrix, build_effective_coupling_matrix
+    build_full_coupling_matrix, build_effective_coupling_matrix, _is_int, _is_real
 
 __all__ = [
     "MAX_SITES",
@@ -124,12 +124,12 @@ class DephasingModel:
     seed: int = 42
 
     def __post_init__(self):
-        if not 0 <= self.sigma_lambda < math.inf:
-            raise ValueError(f"sigma_lambda must be finite and >= 0, got {self.sigma_lambda!r}")
+        if not (_is_real(self.sigma_lambda) and 0 <= self.sigma_lambda < math.inf):
+            raise ValueError(f"sigma_lambda must be finite and >= 0, a real number, "
+                             f"got {self.sigma_lambda!r}")
         for name, least in (("samples", 1), ("seed", 0)):
             value = getattr(self, name)
-            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-                    or value < least):
+            if not _is_int(value) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
     def draw(self) -> np.ndarray:
@@ -287,8 +287,8 @@ def _evolve_basis(bonds: np.ndarray, starts, t: float, rows=None) -> np.ndarray:
         cos1 = (-2.0 * np.sin(S * t / 2) ** 2)[:, None]
         sin = np.sin(S * t)[:, None]
         out.real[rows[blocks[k][h]][:, None], cols] = same @ (cos1 * picked)
-        out.real[rows[starts[cols]], cols] += 1.0
         out.imag[rows[blocks[k][1 - h]][:, None], cols] = other @ (-sin * picked)
+    out.real[rows[starts], np.arange(len(starts))] += 1.0
     return out
 
 

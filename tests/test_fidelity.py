@@ -156,9 +156,9 @@ class TestSweep:
                        (3, 0.01, "dfs"), (3, 0.01, "ndfs"),
                        (3, 0.1, "dfs"), (3, 0.1, "ndfs")]
 
-    def test_parallel_map_deterministic(self, monkeypatch):
-        # the largest chain has 5 + 4 = 9 sites: a threshold of 10 keeps the
-        # grid serial, 9 sends it to the pool; both give the same rows
+    def test_points_run_on_the_calling_thread(self, monkeypatch):
+        # the largest chain has 497 + 4 = 501 sites, which took a thread pool
+        # before the sweep became one serial map
         point = fidelity._point_fidelities
         threads = []
 
@@ -167,15 +167,9 @@ class TestSweep:
             return point(*args)
 
         monkeypatch.setattr(fidelity, "_point_fidelities", recorded)
-        grid = default_ratio_grid(1e-3, 1.0, 8)
-        runs = {}
-        for threshold in (10, 9):
-            monkeypatch.setattr(fidelity, "POOL_MIN_ORDER", threshold)
-            threads.clear()
-            runs[threshold] = sweep_fidelity(2, [5, 3], grid).rows
-            on_main = [t is threading.main_thread() for t in threads]
-            assert on_main == [threshold == 10] * 16
-        assert runs[10] == runs[9]
+        rows = sweep_fidelity(2, [497], [0.01, 0.1]).rows
+        assert len(rows) == 4
+        assert threads == [threading.main_thread()] * 2
 
     @settings(max_examples=60, deadline=None)
     @given(N=st.integers(0, 10).map(lambda k: 2 * k + 1),

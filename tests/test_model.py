@@ -41,10 +41,31 @@ class TestDeriveParameters:
         dict(n=2, N=3, g_C=1.0, g_I=5e-324),   # g0 underflows to 0
         dict(n=2, N=3, g_C=1.0, g_I=1e-320),   # tau = pi/g0 overflows
         dict(n=1, N=1, g_C=1.0, g_I=1.7e308),  # g0 overflows
+        # non-finite couplings built a spec whose brute-force fidelity raised
+        # LinAlgError and whose mirror-inversion report passed
+        dict(n=2, N=3, g_C=float("nan"), g_I=0.1),
+        dict(n=2, N=3, g_C=1.0, g_I=float("nan")),
+        dict(n=2, N=3, g_C=float("inf"), g_I=0.1),
+        dict(n=2, N=3, g_C=1.0, g_I=float("inf")),
+        dict(n=2, N=3, g_C="1.0", g_I=0.1),
+        dict(n=2, N=3, g_C=1.0, g_I=0.1 + 0j),
+        dict(n=2, N=3, g_C=True, g_I=0.1),
+        # non-integer sizes failed later with a TypeError; N = True ran as N = 1
+        dict(n=2, N=3.0, g_C=1.0, g_I=0.1),
+        dict(n=2.0, N=3, g_C=1.0, g_I=0.1),
+        dict(n=2, N=True, g_C=1.0, g_I=0.1),
+        dict(n=True, N=3, g_C=1.0, g_I=0.1),
+        dict(n=2, N=np.float64(3), g_C=1.0, g_I=0.1),
+        dict(n=2, N=None, g_C=1.0, g_I=0.1),
     ])
     def test_rejects_invalid_input(self, kwargs):
         with pytest.raises(ValueError):
             derive_parameters(**kwargs)
+
+    def test_accepts_numpy_scalars(self):
+        spec = derive_parameters(n=np.int64(2), N=np.int32(3),
+                                 g_C=np.float32(1.0), g_I=np.float64(0.1))
+        assert spec == derive_parameters(n=2, N=3, g_C=1.0, g_I=0.1)
 
     def test_deterministic(self):
         a = derive_parameters(3, 11, 0.9, 0.03)

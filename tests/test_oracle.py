@@ -546,6 +546,15 @@ class TestDephasingProtection:
         # numpy integers, as a seed drawn from a Generator, are integers
         assert len(DephasingModel(0.1, samples=np.int64(3), seed=np.int64(7)).draw()) == 3
 
+    def test_sigma_must_be_a_real_number(self):
+        # a string, None or a complex raised a TypeError from the range check,
+        # and True constructed with sigma = True
+        for sigma in ("0.1", None, 1 + 0j, True, np.True_):
+            with pytest.raises(ValueError, match="sigma_lambda must be"):
+                DephasingModel(sigma_lambda=sigma)
+        for sigma in (0, np.int64(1), np.float32(0.1)):
+            assert DephasingModel(sigma_lambda=sigma).sigma_lambda == sigma
+
     def test_report_needs_two_samples(self):
         # one shot has no standard error: ndfs_stderr and ndfs_tolerance were nan
         spec = derive_parameters(2, 3, 1.0, 0.1)
