@@ -11,7 +11,7 @@ from .fidelity import (RegisterElements, extract_register_elements,
                        register_elements, pauli_transfer_terms, f_dfs, f_ndfs,
                        SweepRow, SweepResult, sweep_fidelity,
                        default_ratio_grid)
-from .oracle import (OccupationPattern, DephasingModel, build_spin_hamiltonian,
+from .oracle import (DephasingModel, build_spin_hamiltonian,
                      evolve_state, jw_phase_prediction,
                      average_fidelity_bruteforce, dephasing_protection_report,
                      phase_table, REMAINING_SUBSPACES)

@@ -188,6 +188,8 @@ def parse_config(argv) -> RunConfig:
         parser.error("seed must be >= 0")
     if cfg.sigma_lambda < 0:
         parser.error("sigma-lambda must be >= 0")
+    if cfg.tolerance_scale < 0:
+        parser.error("tolerance-scale must be >= 0")
     if cfg.command in ("oracle", "phases") and cfg.n > 3:
         parser.error(f"{cfg.command} is capped at n = 3")
     return cfg
@@ -353,9 +355,9 @@ def run_oracle(cfg: RunConfig) -> int:
 def run_phases(cfg: RunConfig) -> int:
     rows = orc.phase_table(cfg.n)
     lines = ["pattern,predicted,measured,match"]
+    L = 2 * cfg.n + 1
     for r in rows:
-        bits = "".join(str(b) for b in
-                       list(r.pattern.n_L) + [r.pattern.n_kappa] + list(r.pattern.n_R[::-1]))
+        bits = f"{r.state:0{L}b}"[::-1]
         lines.append(f"{bits},{r.predicted:+d},{r.measured:+d},{str(r.match).lower()}")
     _write_output("\n".join(lines) + "\n", cfg.output_path)
     return 0 if all(r.match for r in rows) else 1

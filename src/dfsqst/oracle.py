@@ -21,8 +21,9 @@ the free-fermion engine claims:
 
 * the single-excitation block of the many-body XX Hamiltonian equals the
   single-particle coupling matrix (Jordan-Wigner consistency),
-* the effective evolution at tau is a register swap times the fermionic
-  phase factors Gamma0*Gamma1*Gamma2 predicted per occupation pattern,
+* the effective evolution at tau sends each basis state to its mirror
+  image (the bit reversal of its index) times (-1)^(n Ne + Ne(Ne-1)/2),
+  Ne its number of up spins (`jw_phase_prediction`),
 * the CNOT encode/transfer/decode pipeline, run on the two logical basis
   branches of each channel state, reproduces the closed fidelity formulas
   for the DFS and non-DFS logical encodings; its codec is a map on the four
@@ -39,13 +40,10 @@ with the fermionic occupation state whose creation operators are applied
 in ascending site order; with that identification the spin and fermion
 Hamiltonian matrices coincide for nearest-neighbor hopping.
 
-One byproduct matters downstream: at t = tau the two branches of the
-non-DFS encoding {|dn,dn>, |up,up>} acquire a relative phase of -1 that is
-independent of the background occupations (their particle numbers differ
-by 2, and the reordering signs work out the same for every background).
-The transferred logical qubit therefore arrives with a deterministic
-logical Z applied, and the fidelity pipeline measures against the
-Z-corrected target for that encoding.
+Codewords whose particle numbers differ by 2, such as the non-DFS pair
+{|dn,dn>, |up,up>}, change that exponent by 2n + 2Ne + 1 (Ne the smaller
+count), which is odd: at t = tau they acquire a relative -1 for every
+background, so the pipeline measures them against the Z-corrected target.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ from .model import ChainSpec, CouplingMatrix, derive_parameters, \
 
 __all__ = [
     "MAX_SITES",
-    "OccupationPattern",
     "DephasingModel",
     "build_spin_hamiltonian",
     "evolve_state",
@@ -90,29 +87,6 @@ REMAINING_SUBSPACES = (
     ((1, 1), (0, 1)),
     ((1, 1), (1, 0)),
 )
-
-
-@dataclass(frozen=True)
-class OccupationPattern:
-    """Occupations of the effective-model sites, u-indexed registers."""
-
-    n_L: tuple[int, ...]   # (n_L1, ..., n_Ln)
-    n_kappa: int
-    n_R: tuple[int, ...]   # (n_R1, ..., n_Rn)
-
-    @classmethod
-    def from_basis_index(cls, s: int, n: int) -> "OccupationPattern":
-        """Decode a 2n+1-site basis index (ordering L1..Ln, kappa, Rn..R1)."""
-        bits = [(s >> k) & 1 for k in range(2 * n + 1)]
-        return cls(n_L=tuple(bits[:n]), n_kappa=bits[n],
-                   n_R=tuple(bits[n + 1:][::-1]))
-
-    def basis_index(self) -> int:
-        bits = list(self.n_L) + [self.n_kappa] + list(self.n_R[::-1])
-        return sum(b << k for k, b in enumerate(bits))
-
-    def swapped(self) -> "OccupationPattern":
-        return OccupationPattern(n_L=self.n_R, n_kappa=self.n_kappa, n_R=self.n_L)
 
 
 @dataclass(frozen=True)
@@ -303,34 +277,25 @@ def _chiral_block(bonds: np.ndarray, even: np.ndarray, odd: np.ndarray) -> np.nd
     return B
 
 
-def jw_phase_prediction(p: OccupationPattern, n: int) -> int:
-    """Sign Gamma0*Gamma1*Gamma2 picked up when the effective evolution at
-    tau swaps the register occupations of pattern p.
+def jw_phase_prediction(s: int, n: int) -> int:
+    """Sign picked up when the effective evolution at tau sends basis state s
+    of the 2n+1 sites to its mirror image, the bit reversal of s:
+    (-1)^(n Ne + Ne(Ne-1)/2), with Ne the number of up spins of s.
 
-    Gamma0 collects the (-1)^n single-mode mirror signs; Gamma1 and Gamma2
-    come from reordering the fermionic creation operators after the swap.
+    The factor (-1)^(n Ne) is Gamma0, the (-1)^n mirror sign of each
+    particle's mode; (-1)^(Ne(Ne-1)/2) is Gamma1*Gamma2, the sign of
+    reversing the order of Ne fermionic creation operators (Albanese,
+    Christandl, Datta & Ekert, PRL 93, 230502 (2004)).
     """
-    if len(p.n_L) != n or len(p.n_R) != n:
-        raise ValueError("pattern dimensions do not match n")
-    nL, nk, nR = p.n_L, p.n_kappa, p.n_R
-
-    g0 = n * nk + sum(n * (nL[v] + nR[v]) for v in range(n))
-    g1 = 0
-    g2 = 0
-    for x in range(2, n + 2):
-        for v in range(x, n + 1):
-            g1 += nL[x - 2] * nL[v - 1]
-            g2 += nR[x - 2] * nR[v - 1]
-        for v in range(1, n + 1):
-            g1 += nL[x - 2] * nR[v - 1]
-        g1 += nL[x - 2] * nk
-        g2 += nR[x - 2] * nk
-    return -1 if (g0 + g1 + g2) % 2 else 1
+    if not 0 <= s < 1 << (2 * n + 1):
+        raise ValueError(f"basis index {s} out of range for n = {n}")
+    ne = bin(s).count("1")
+    return -1 if (n * ne + ne * (ne - 1) // 2) % 2 else 1
 
 
 @dataclass(frozen=True)
 class PhaseRow:
-    pattern: OccupationPattern
+    state: int
     predicted: int
     measured: int
     deviation: float
@@ -340,9 +305,8 @@ class PhaseRow:
 def phase_table(n: int) -> list[PhaseRow]:
     """Brute-force check of jw_phase_prediction for every basis state.
 
-    Evolves each occupation basis state of the effective model (N = 3,
-    g_I/g_C = 0.1) for tau and compares against predicted_sign *
-    (register-swapped state).
+    Evolves each basis state of the effective model (N = 3, g_I/g_C = 0.1)
+    for tau and compares against predicted_sign * (its mirror image).
     """
     if n > 3:
         raise ValueError("phase table capped at n = 3 (128 basis states)")
@@ -352,15 +316,14 @@ def phase_table(n: int) -> list[PhaseRow]:
 
     rows = []
     for s in range(1 << L):
-        p = OccupationPattern.from_basis_index(s, n)
-        predicted = jw_phase_prediction(p, n)
+        predicted = jw_phase_prediction(s, n)
         col = U[:, s]
-        s_swap = p.swapped().basis_index()
+        s_swap = int(f"{s:0{L}b}"[::-1], 2)
         measured = 1 if col[s_swap].real >= 0 else -1
         expected = np.zeros(1 << L, dtype=complex)
         expected[s_swap] = predicted
         dev = float(np.max(np.abs(col - expected)))
-        rows.append(PhaseRow(pattern=p, predicted=predicted, measured=measured,
+        rows.append(PhaseRow(state=s, predicted=predicted, measured=measured,
                              deviation=dev, match=dev <= SWAP_TOL))
     return rows
 
@@ -413,8 +376,9 @@ def _codec(encoding):
 
 
 def _default_target(encoding) -> str:
-    # NDFS transfer arrives with a deterministic logical Z (see module doc).
-    return "z" if encoding == "ndfs" else "identity"
+    # codewords 2 particles apart arrive with a deterministic logical Z (see module doc)
+    b0, b1 = _encoding_pairs(encoding)
+    return "z" if abs(sum(b0) - sum(b1)) == 2 else "identity"
 
 
 def _dephasing_phases(lams, t: float, sz) -> np.ndarray:

@@ -10,7 +10,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dfsqst import cli
 from dfsqst.cli import _build_parser, parse_config, main
@@ -258,6 +258,8 @@ class TestParseConfig:
 
     @settings(max_examples=100, deadline=None)
     @given(args=st.sampled_from(["sweep", "verify", "oracle", "phases"]).flatmap(_argv))
+    @example(args=(["verify", "--tolerance-scale", "-1"], {}))
+    @example(args=(["verify"], {"tolerance_scale": -0.5}))
     def test_finite_config_or_usage_error(self, args):
         cfg, _ = _run(*args, parse_config)
         if isinstance(cfg, SystemExit):
@@ -268,6 +270,7 @@ class TestParseConfig:
             floats.append(cfg.time)
         assert all(math.isfinite(v) for v in floats)
         assert cfg.shots <= cli.MAX_SHOTS
+        assert cfg.tolerance_scale >= 0  # a negative tolerance can never pass
 
 
 class TestSweepCommand:
@@ -538,9 +541,10 @@ class TestGoldenOutputs:
     # a phases table holds only bit patterns, signs and booleans, so its
     # bytes do not depend on the platform's floating-point rounding
     @pytest.mark.parametrize("n,digest", [
+        ("1", "ce996dc1cb07baecafb19bd01ae03eb56cef5a6df350b6f1c5009655f2880284"),
         ("2", "4918d870cb3f44154881c3ce788784811dc0af544c59628aabe8646d26c40f0d"),
         ("3", "dd0ebb8f180facf647529d09e8bcc740d6984ed6682699208812ef5aec62bce9"),
-    ], ids=["n2", "n3"])
+    ], ids=["n1", "n2", "n3"])
     def test_phases_bytes(self, tmp_path, n, digest):
         out = tmp_path / "phases.csv"
         assert main(["phases", "--n", n, "--output", str(out)]) == 0

@@ -7,7 +7,7 @@ from dfsqst.model import (CouplingMatrix, derive_parameters,
                           build_full_coupling_matrix, build_effective_coupling_matrix)
 from dfsqst.propagator import eigendecompose, propagator_at
 from dfsqst.fidelity import extract_register_elements, f_dfs, f_ndfs, register_elements
-from dfsqst.oracle import (MAX_SITES, OccupationPattern, DephasingModel,
+from dfsqst.oracle import (MAX_SITES, DephasingModel,
                            build_spin_hamiltonian, spin_hamiltonian_from_coupling,
                            evolve_state, jw_phase_prediction, phase_table,
                            average_fidelity_bruteforce, dephasing_protection_report,
@@ -349,28 +349,46 @@ def test_pipeline_dephase_equals_per_rest_state_phases(encoding):
         np.testing.assert_allclose(dephase(v), expected, rtol=0, atol=1e-13)
 
 
+def literal_jw_sign(s, n):
+    """Gamma0*Gamma1*Gamma2 of basis state s, summed as the paper's loops over
+    the occupations n_L = (L1..Ln), n_kappa and n_R = (R1..Rn)."""
+    bits = [(s >> k) & 1 for k in range(2 * n + 1)]
+    nL, nk, nR = bits[:n], bits[n], bits[n + 1:][::-1]
+    g0 = n * nk + sum(n * (nL[v] + nR[v]) for v in range(n))
+    g1 = 0
+    g2 = 0
+    for x in range(2, n + 2):
+        for v in range(x, n + 1):
+            g1 += nL[x - 2] * nL[v - 1]
+            g2 += nR[x - 2] * nR[v - 1]
+        for v in range(1, n + 1):
+            g1 += nL[x - 2] * nR[v - 1]
+        g1 += nL[x - 2] * nk
+        g2 += nR[x - 2] * nk
+    return -1 if (g0 + g1 + g2) % 2 else 1
+
+
 class TestJwPhases:
     def test_vacuum_is_plus_one(self):
-        p = OccupationPattern(n_L=(0, 0), n_kappa=0, n_R=(0, 0))
-        assert jw_phase_prediction(p, 2) == 1
+        assert jw_phase_prediction(0, 2) == 1
 
     def test_single_left_excitation_even_n(self):
-        p = OccupationPattern(n_L=(1, 0), n_kappa=0, n_R=(0, 0))
-        assert jw_phase_prediction(p, 2) == 1
+        assert jw_phase_prediction(0b00001, 2) == 1
 
     def test_single_left_excitation_odd_n(self):
-        p = OccupationPattern(n_L=(1,), n_kappa=0, n_R=(0,))
-        assert jw_phase_prediction(p, 1) == -1
+        assert jw_phase_prediction(0b001, 1) == -1
 
-    def test_dimension_mismatch(self):
-        p = OccupationPattern(n_L=(1, 0), n_kappa=0, n_R=(0, 0))
-        with pytest.raises(ValueError):
-            jw_phase_prediction(p, 3)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_closed_form_equals_the_loops(self, n):
+        # brute-force evolution reaches only n <= 3; the loops reach any n
+        for s in range(1 << (2 * n + 1)):
+            assert jw_phase_prediction(s, n) == literal_jw_sign(s, n), s
 
-    def test_pattern_roundtrip(self):
-        for n in (1, 2, 3):
-            for s in range(1 << (2 * n + 1)):
-                assert OccupationPattern.from_basis_index(s, n).basis_index() == s
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_out_of_range_index(self, n):
+        for s in (-1, 1 << (2 * n + 1)):
+            with pytest.raises(ValueError, match="out of range"):
+                jw_phase_prediction(s, n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_swap_check(self, n):
@@ -382,6 +400,7 @@ class TestJwPhases:
     def test_phase_table_rows(self):
         rows = phase_table(2)
         assert len(rows) == 32
+        assert [r.state for r in rows] == list(range(32))
         vac = rows[0]
         assert vac.predicted == 1 and vac.measured == 1 and vac.match
         assert all(r.match for r in rows)
@@ -472,6 +491,21 @@ class TestBruteForceFidelity:
         for enc in ("dfs", "ndfs"):
             f = average_fidelity_bruteforce(spec, enc, 0.0)
             assert f == pytest.approx(0.5, abs=1e-10)
+
+    def test_codewords_two_particles_apart_are_scored_against_z(self):
+        # the Z target used to be chosen for the string "ndfs" only: spelled
+        # as bits, the NDFS pair scored 0.334 against the identity at tau
+        spec = derive_parameters(2, 3, 1.0, 0.1)
+        ndfs = average_fidelity_bruteforce(spec, "ndfs", spec.tau)
+        assert ndfs > 0.99
+        for pair in (((0, 0), (1, 1)), [[0, 0], [1, 1]]):
+            assert average_fidelity_bruteforce(spec, pair, spec.tau) == ndfs
+        # relabelled, the codec sends the leaked patterns to other rows, so
+        # only the target, not the value, is that of "ndfs"
+        for pair, target in ((((1, 1), (0, 0)), "z"), (((1, 0), (0, 1)), "identity"),
+                             *((p, "identity") for p in REMAINING_SUBSPACES)):
+            assert (average_fidelity_bruteforce(spec, pair, spec.tau)
+                    == average_fidelity_bruteforce(spec, pair, spec.tau, logical_target=target))
 
     def test_requires_two_qubit_registers(self):
         spec = derive_parameters(1, 3, 1.0, 0.1)
@@ -635,6 +669,5 @@ class TestDfsSwapIdentity:
                     s_swap = (1 << r_bit) | (ck << n) | (1 << (L - 1 - l_bit))
                     expect = np.zeros(1 << L, dtype=complex)
                     expect[s_swap] = 1.0  # M_up = 2 (+ channel), sign +1
-                    sign = jw_phase_prediction(
-                        OccupationPattern.from_basis_index(s, n), n)
+                    sign = jw_phase_prediction(s, n)
                     assert np.max(np.abs(out - sign * expect)) <= 1e-8
