@@ -9,6 +9,7 @@ import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -81,7 +82,6 @@ OPTION_SAMPLES = {
     "encoding": ("dfs", ["--encoding", "dfs"]),
     "time": (1.5, ["--time", "1.5"]),
     "sigma_lambda": (0.1, ["--sigma-lambda", "0.1"]),
-    "shots": (10, ["--shots", "10"]),
     "seed": (3, ["--seed", "3"]),
     "output_path": ("out.txt", ["--output", "out.txt"]),
     "format": ("json", ["--format", "json"]),
@@ -116,7 +116,6 @@ class TestParseConfig:
         assert cfg.encoding == "both"
         assert cfg.time == "tau"
         assert cfg.sigma_lambda == 0.0
-        assert cfg.shots == 200
         assert cfg.seed == 42
         assert cfg.format == "csv"
 
@@ -161,28 +160,33 @@ class TestParseConfig:
             main(["sweep", "--n", n, "--channel-lengths", "3", "--ratio-steps", "2"])
         assert exc.value.code == 2
 
-    def test_single_shot_rejected(self):
-        # one shot has no standard error, so the NDFS tolerance would be NaN
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--shots", "1"])
-        assert exc.value.code == 2
-
-    def test_shots_at_the_cap_accepted(self):
-        assert parse_config(["verify", "--shots", str(cli.MAX_SHOTS)]).shots == cli.MAX_SHOTS
-
-    # parse_config only: an over-cap value is rejected before any work starts
-    @settings(max_examples=40, deadline=None)
-    @given(args=_argv("verify"),
-           shots=st.integers(cli.MAX_SHOTS + 1, 10 ** 12) | st.just(10 ** 400),
-           in_config=st.booleans())
-    def test_shots_over_the_cap_are_usage_errors(self, args, shots, in_config):
-        argv, config = args
-        if in_config and "--shots" not in argv:  # a flag would win over the file
-            config = {**config, "shots": shots}
-        else:
-            argv = argv + ["--shots", str(shots)]
+    # parse_config only: a sweep at or past the work budget never starts here
+    @settings(max_examples=60, deadline=None)
+    @given(cap=st.sampled_from(["length", "points"]), count=st.integers(1, 4),
+           past=st.booleans(), in_config=st.booleans())
+    def test_sweep_budget_edges(self, cap, count, past, in_config):
+        if cap == "length":  # the next odd length is the first one past the cap
+            lengths, steps = [3] * (count - 1) + [cli.MAX_CHANNEL_LENGTH + 2 * past], 1
+        else:  # (cap // count + 1) * count > cap for every count
+            lengths, steps = [3] * count, cli.MAX_GRID_POINTS // count + past
+        config = {"channel_lengths": lengths, "ratio_steps": steps} if in_config else {}
+        argv = ["sweep"] if in_config else [
+            "sweep", "--channel-lengths", *map(str, lengths), "--ratio-steps", str(steps)]
         cfg, _ = _run(argv, config, parse_config)
-        assert isinstance(cfg, SystemExit) and cfg.code == 2
+        if past:
+            assert isinstance(cfg, SystemExit) and cfg.code == 2
+        else:
+            assert (cfg.channel_lengths, cfg.ratio_steps) == (lengths, steps)
+
+    @pytest.mark.parametrize("argv,config", [
+        (["sweep", "--channel-lengths", "3", "--ratio-steps", str(10 ** 20)], {}),
+        (["sweep"], {"ratio_steps": 10 ** 400}),
+    ], ids=["flag", "config"])
+    def test_huge_ratio_steps_is_usage_error(self, argv, config):
+        # numpy raised "Maximum allowed size exceeded" for the flag and an
+        # OverflowError for the 401-digit config integer, both as tracebacks
+        rc, out = _run(argv, config, main)
+        assert isinstance(rc, SystemExit) and rc.code == 2 and out == ""
 
     def test_config_file_unknown_key(self, tmp_path):
         cfg_file = tmp_path / "run.json"
@@ -207,7 +211,7 @@ class TestParseConfig:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("content", [
-        {"shots": "5"}, {"n": 2.0}, {"channel_lengths": 5}, {"linear": "no"},
+        {"seed": "5"}, {"n": 2.0}, {"channel_lengths": 5}, {"linear": "no"},
         {"time": "soon"}, {"encoding": "all"}, {"output_path": 5}, [1, 2],
         {"time": 10 ** 400}, {"ratio_max": 10 ** 400},
     ])
@@ -215,14 +219,14 @@ class TestParseConfig:
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps(content))
         with pytest.raises(SystemExit) as exc:
-            parse_config(["verify" if "shots" in content else "sweep", "--config", str(cfg_file)])
+            parse_config(["verify" if "seed" in content else "sweep", "--config", str(cfg_file)])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("command", ["sweep", "verify", "oracle", "phases"])
     def test_only_the_options_a_command_reads(self, tmp_path, command):
         # each option, as a flag and as a config key, parses exactly for the
-        # commands that read it; 20 of the 56 (command, option) pairs
-        assert sum(map(len, cli._OPTIONS.values())) == 20
+        # commands that read it; 19 of the 52 (command, option) pairs
+        assert sum(map(len, cli._OPTIONS.values())) == 19
         assert set(OPTION_SAMPLES) == set(cli._DEFAULTS)
         cfg_file = tmp_path / "run.json"
         for key, (value, argv) in OPTION_SAMPLES.items():
@@ -242,6 +246,7 @@ class TestParseConfig:
         ["verify", "--linear"],
         ["sweep", "--tolerance-scale", "0"],
         ["sweep", "--shots", "2"],
+        ["verify", "--shots", "10"],
         ["oracle", "--channel-lengths", "9"],
     ])
     def test_option_the_command_ignores_is_usage_error(self, capsys, argv):
@@ -269,7 +274,8 @@ class TestParseConfig:
         if cfg.time != "tau":
             floats.append(cfg.time)
         assert all(math.isfinite(v) for v in floats)
-        assert cfg.shots <= cli.MAX_SHOTS
+        assert max(cfg.channel_lengths) <= cli.MAX_CHANNEL_LENGTH
+        assert len(cfg.channel_lengths) * cfg.ratio_steps <= cli.MAX_GRID_POINTS
         assert cfg.tolerance_scale >= 0  # a negative tolerance can never pass
 
 
@@ -398,7 +404,7 @@ class TestSweepCommand:
 class TestVerifyCommand:
     def test_passes_on_correct_build(self, tmp_path):
         out = tmp_path / "report.json"
-        rc = main(["verify", "--shots", "100", "--output", str(out)])
+        rc = main(["verify", "--output", str(out)])
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["overall_pass"] is True
@@ -412,8 +418,7 @@ class TestVerifyCommand:
 
     def test_zero_tolerance_fails(self, tmp_path):
         out = tmp_path / "report.json"
-        rc = main(["verify", "--shots", "50", "--tolerance-scale", "0",
-                   "--output", str(out)])
+        rc = main(["verify", "--tolerance-scale", "0", "--output", str(out)])
         assert rc == 1
         report = json.loads(out.read_text())  # report still written
         assert report["overall_pass"] is False
@@ -427,11 +432,10 @@ class TestVerifyCommand:
                      "--output", str(out)]) == 0
 
     def test_wrong_ndfs_suppression_fails(self, tmp_path, monkeypatch):
-        # every shot drawn at lambda = sigma: no spread, so the tolerance is
-        # the eps allowance alone, and cos(4 sigma tau) misses the predicted
-        # exp(-8 sigma^2 tau^2) by far more than that
-        monkeypatch.setattr(cli.orc.DephasingModel, "draw",
-                            lambda self: [self.sigma_lambda] * self.samples)
+        # the dephasing field left out: every NDFS shot keeps its coherence,
+        # while the DFS check cannot tell
+        monkeypatch.setattr(cli.orc, "_dephasing_phases",
+                            lambda lams, t, sz: np.ones((len(lams), len(sz)), dtype=complex))
         out = tmp_path / "report.json"
         assert main(["verify", "--output", str(out)]) == 1
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
@@ -439,40 +443,54 @@ class TestVerifyCommand:
         assert ndfs["max_error"] > 10 * ndfs["tolerance"]
         assert all(c["pass"] for c in checks.values())
 
+    @pytest.mark.parametrize("seed", ["42", "1", "7"])
+    @pytest.mark.parametrize("speed", [-1.0, 1.5, 2.0], ids=["conjugated", "1.5x", "2x"])
+    def test_wrong_dephasing_phase_fails(self, tmp_path, monkeypatch, seed, speed):
+        # a per-shot phase conjugated or too fast; the 3-standard-error test
+        # of the shot mean this check used to be let all nine pass
+        phases = cli.orc._dephasing_phases
+        monkeypatch.setattr(cli.orc, "_dephasing_phases",
+                            lambda lams, t, sz: phases(lams, speed * t, sz))
+        out = tmp_path / "report.json"
+        assert main(["verify", "--seed", seed, "--output", str(out)]) == 1
+        failed = [c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]]
+        assert failed == ["dephasing_ndfs_suppression"]
+
     def test_formula_vs_oracle_checks_the_sweep_engine(self, tmp_path, monkeypatch):
         # break the engine the sweep runs: formula_vs_oracle fails, while the
         # dense reference path keeps passing its own checks
         monkeypatch.setattr(cli, "register_elements",
                             lambda omega, t: RegisterElements(0j, 0j, 0j, 0j))
         out = tmp_path / "report.json"
-        assert main(["verify", "--shots", "50", "--output", str(out)]) == 1
+        assert main(["verify", "--output", str(out)]) == 1
         passed = {c["name"]: c["pass"] for c in json.loads(out.read_text())["checks"]}
         assert passed.pop("formula_vs_oracle") is False
         assert all(passed.values())
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--sigma-lambda", "1e308", "--shots", "10"],
-        ["verify", "--tolerance-scale", "1.7976931348623157e308", "--shots", "2"],
+        ["verify", "--sigma-lambda", "1e308"],
+        ["verify", "--sigma-lambda", "1e306"],  # sigma finite, lambda tau dz past the range
     ])
     def test_overflowing_option_is_usage_error(self, tmp_path, capsys, argv):
-        # the dephasing phases lambda * t, or a tolerance, leave the float range
+        # the dephasing phases lambda * t leave the float range
         out = tmp_path / "report.json"
         assert main(argv + ["--output", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_strong_dephasing_gives_finite_report(self, tmp_path):
-        # sigma^2 t^2 overflows but every phase is finite: predicted
-        # suppression 0, measured the mean of effectively random phases
+        # sigma^2 t^2 overflows but every phase is finite, and each shot's
+        # coherence factor is still exactly exp(4 i lambda tau)
         out = tmp_path / "report.json"
-        assert main(["verify", "--sigma-lambda", "1e300", "--shots", "10",
-                     "--output", str(out)]) in (0, 1)
+        assert main(["verify", "--sigma-lambda", "1e300", "--output", str(out)]) == 0
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
         assert checks["dephasing_dfs_invariance"]["pass"] is True
         assert math.isfinite(checks["dephasing_ndfs_suppression"]["max_error"])
 
     @settings(max_examples=60, deadline=None)
     @given(args=st.sampled_from(["verify", "oracle"]).flatmap(_argv))
+    # every tolerance is at most 1e-8 times the scale, so even this one is finite
+    @example(args=(["verify", "--tolerance-scale", "1.7976931348623157e308"], {}))
     def test_strict_json_or_exit_1_or_2(self, args):
         rc, text = _run(*args, main)
         if isinstance(rc, SystemExit):

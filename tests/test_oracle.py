@@ -563,6 +563,9 @@ class TestBruteForceFidelity:
             assert best < ref
 
 
+_EFFECTIVE = derive_parameters(2, 3, 1.0, 0.1)  # the chain `verify` dephases
+
+
 class TestDephasingProtection:
     def test_zero_sigma_rejected_samples(self):
         with pytest.raises(ValueError):
@@ -590,7 +593,8 @@ class TestDephasingProtection:
             assert DephasingModel(sigma_lambda=sigma).sigma_lambda == sigma
 
     def test_report_needs_two_samples(self):
-        # one shot has no standard error: ndfs_stderr and ndfs_tolerance were nan
+        # one shot has no standard error: ndfs_stderr and the 3-standard-error
+        # tolerance behind ndfs_passed were nan
         spec = derive_parameters(2, 3, 1.0, 0.1)
         deph = DephasingModel(sigma_lambda=0.5 / spec.tau, samples=1)
         with pytest.raises(ValueError, match="samples >= 2"):
@@ -612,9 +616,14 @@ class TestDephasingProtection:
         assert rep.ndfs_predicted_suppression == pytest.approx(np.exp(-2.0), abs=1e-12)
         assert rep.ndfs_passed
 
-    def test_ndfs_per_shot_factor_at_tau(self):
-        spec = derive_parameters(2, 3, 1.0, 0.1)
-        deph = DephasingModel(sigma_lambda=0.5 / spec.tau, samples=20, seed=42)
+    # the identity `verify` checks shot by shot, from sigma tau = 1e-10 up to
+    # 1e7 and at sigma = 1e300, where lambda tau is near the float range
+    @settings(max_examples=25, deadline=None)
+    @given(sigma_tau=st.floats(-10, 7).map(lambda e: 10.0 ** e), seed=st.integers(0, 2 ** 32))
+    @example(sigma_tau=1e300 * _EFFECTIVE.tau, seed=42)
+    def test_ndfs_per_shot_factor_at_tau(self, sigma_tau, seed):
+        spec = _EFFECTIVE
+        deph = DephasingModel(sigma_lambda=sigma_tau / spec.tau, samples=20, seed=seed)
         rep = dephasing_protection_report(spec, deph, spec.tau)
         np.testing.assert_allclose(rep.per_shot_suppression,
                                    np.exp(4j * deph.draw() * spec.tau), rtol=0, atol=1e-12)
