@@ -71,9 +71,10 @@ _OPTIONS = {
 }
 _CHOICES = {"encoding": ("dfs", "ndfs", "both"), "format": ("csv", "json")}
 
-# Work budget of `sweep`: a point at channel length N holds two (N + 4)^2
-# float gap matrices (1.6 GB peak RSS at N = 10001), and the ratio grid is
-# 8 bytes per step.  Larger inputs are a usage error, before any work starts.
+# Work budget of `sweep`: a point at channel length N takes O(N^2) time
+# (about 2 s at N = 10001 on a 2-core x86-64 host, in O(N) memory), and the
+# ratio grid is 8 bytes per step.  Larger inputs are a usage error, before
+# any work starts.
 MAX_CHANNEL_LENGTH = 10001
 MAX_GRID_POINTS = 10 ** 5  # len(channel_lengths) * ratio_steps
 
@@ -274,25 +275,34 @@ def _verify_checks(cfg: RunConfig):
               for nn in (1, 2, 3, 4))
     add("mirror_inversion", err, MIRROR_TOL * scale)
 
-    # closed-form elements, n = 2 effective, 1000 times in [0, 2 tau]
+    # the sweep engine's elements against the closed form, n = 2 effective
+    # (mirror symmetric, so Delta_R2L1 = Delta_R1L2), 1000 times in [0, 2 tau]
     spec = derive_parameters(2, 3, 1.0, 0.1)
-    dec = eigendecompose(build_effective_coupling_matrix(spec))
+    omega = build_effective_coupling_matrix(spec)
     err = 0.0
     for t in np.linspace(0.0, 2 * spec.tau, 1000):
-        e = extract_register_elements(propagator_at(dec, t))
+        e = register_elements(omega, float(t))
         c11, c22, c12 = closed_form_effective_elements(spec.g0, t)
-        err = max(err, abs(e.d_r1l1 - c11), abs(e.d_r2l2 - c22), abs(e.d_r1l2 - c12))
+        err = max(err, abs(e.d_r1l1 - c11), abs(e.d_r2l2 - c22),
+                  abs(e.d_r1l2 - c12), abs(e.d_r2l1 - c12))
     add("closed_form_match", err, 1e-10 * scale)
 
-    # unitarity of full-model propagators over random specs
+    # unitarity of full-model propagators over random specs, and at n = 2
+    # the sweep engine's elements against the same dense propagator
     err = 0.0
     for _ in range(20):
         sp = derive_parameters(int(rng.integers(1, 4)),
                                int(rng.choice([3, 5, 7, 51, 101])),
                                1.0, float(rng.uniform(0.01, 1.0)))
-        d = propagator_at(eigendecompose(build_full_coupling_matrix(sp)),
-                          float(rng.uniform(0, 2 * sp.tau))).entries
+        omega = build_full_coupling_matrix(sp)
+        t = float(rng.uniform(0, 2 * sp.tau))
+        prop = propagator_at(eigendecompose(omega), t)
+        d = prop.entries
         err = max(err, float(np.max(np.abs(d.conj().T @ d - np.eye(len(d))))))
+        if sp.n == 2:
+            fast, dense = register_elements(omega, t), extract_register_elements(prop)
+            err = max(err, *(abs(a - b) for a, b in zip(vars(fast).values(),
+                                                         vars(dense).values())))
     add("unitarity", err, 1e-10 * scale)
 
     # kappa-parity sign invariance of both fidelity formulas

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -457,15 +458,33 @@ class TestVerifyCommand:
         assert failed == ["dephasing_ndfs_suppression"]
 
     def test_formula_vs_oracle_checks_the_sweep_engine(self, tmp_path, monkeypatch):
-        # break the engine the sweep runs: formula_vs_oracle fails, while the
-        # dense reference path keeps passing its own checks
+        # break the engine the sweep runs: every check that runs it fails,
+        # while the checks of the dense propagator alone keep passing
         monkeypatch.setattr(cli, "register_elements",
                             lambda omega, t: RegisterElements(0j, 0j, 0j, 0j))
         out = tmp_path / "report.json"
         assert main(["verify", "--output", str(out)]) == 1
+        failed = [c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]]
+        assert failed == ["closed_form_match", "unitarity", "formula_vs_oracle"]
+
+    @pytest.mark.parametrize("mutation", ["d_r1l1", "d_r2l2", "d_r1l2", "d_r2l1", "conjugate"])
+    def test_wrong_sweep_engine_element_fails(self, tmp_path, monkeypatch, mutation):
+        # one element's sign flipped, or all four conjugated; conjugation
+        # leaves both fidelity formulas unchanged, so only the element checks see it
+        engine = cli.register_elements
+
+        def mutated(omega, t):
+            e = engine(omega, t)
+            if mutation == "conjugate":
+                return RegisterElements(*np.conj(list(vars(e).values())))
+            return dataclasses.replace(e, **{mutation: -getattr(e, mutation)})
+
+        monkeypatch.setattr(cli, "register_elements", mutated)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--output", str(out)]) == 1
         passed = {c["name"]: c["pass"] for c in json.loads(out.read_text())["checks"]}
-        assert passed.pop("formula_vs_oracle") is False
-        assert all(passed.values())
+        assert not passed["closed_form_match"] and not passed["unitarity"]
+        assert passed["mirror_inversion"] and passed["kappa_parity_invariance"]
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--sigma-lambda", "1e308"],

@@ -1,7 +1,9 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from hypothesis import example, given, settings, strategies as st
 
 from dfsqst import fidelity
@@ -94,6 +96,34 @@ def scale_register_bonds(omega, left, right):
     return CouplingMatrix(bonds=bonds, site_labels=omega.site_labels)
 
 
+def one_shot_register_elements(omega, t):
+    """`register_elements` with the whole M x M gap matrix formed at once:
+    the reference the row-blocked form must reproduce bit for bit."""
+    b = omega.bonds
+    m = omega.order
+    lam = eigh_tridiagonal(np.zeros(m), b, eigvals_only=True)
+    with np.errstate(all="ignore"):
+        gaps = np.abs(np.subtract.outer(lam, lam))
+        np.fill_diagonal(gaps, 1.0)
+        log_chi = np.log(gaps, out=gaps).sum(axis=1)
+        phases = np.exp(-1j * lam * t) * np.where((m - 1 - np.arange(m)) % 2, -1.0, 1.0)
+        log_b, sign_b = np.log(np.abs(b)), np.sign(b)
+
+        def element(first, stop, power):
+            weights = np.exp(log_b[first:stop].sum() - log_chi) * lam ** power
+            return np.prod(sign_b[first:stop]) * (weights @ phases)
+
+        return RegisterElements(d_r1l1=element(0, m - 1, 0), d_r2l2=element(1, m - 2, 2),
+                                d_r1l2=element(1, m - 1, 1), d_r2l1=element(0, m - 2, 1))
+
+
+def assert_bit_identical(fast, reference):
+    for name in ELEMENT_NAMES:
+        assert getattr(fast, name) == getattr(reference, name), name
+    assert f_dfs(fast) == f_dfs(reference)
+    assert f_ndfs(fast) == f_ndfs(reference)
+
+
 # relative factor on one intraregister bond, of either sign
 bond_factors = st.floats(-2.0, 2.0).filter(lambda f: abs(f) >= 0.05)
 
@@ -128,6 +158,39 @@ class TestRegisterElements:
             # the effective chain is mirror symmetric, so Delta_R2L1 = Delta_R1L2
             assert max(abs(e.d_r1l1 - c11), abs(e.d_r2l2 - c22),
                        abs(e.d_r1l2 - c12), abs(e.d_r2l1 - c12)) <= 1e-12
+
+    @pytest.mark.parametrize("N", [None, 1, 3, 101, 1001], ids=lambda N: f"N={N or 'effective'}")
+    @pytest.mark.parametrize("ratio", [1e-3, 0.37])
+    @pytest.mark.parametrize("t_frac", [1.0, 0.29])
+    def test_bit_identical_to_one_shot_gap_matrix(self, N, ratio, t_frac):
+        # N = 1001 has M = 1005 rows, so 65 rows a block and a ragged last one
+        spec = derive_parameters(2, N or 3, 1.0, ratio)
+        omega = (build_effective_coupling_matrix(spec) if N is None
+                 else build_full_coupling_matrix(spec))
+        t = t_frac * spec.tau
+        assert_bit_identical(register_elements(omega, t), one_shot_register_elements(omega, t))
+
+    @pytest.mark.parametrize("cells", [1, 7, 16, 40])
+    @pytest.mark.parametrize("N", [1, 3, 11])
+    def test_any_block_height_is_bit_identical(self, monkeypatch, cells, N):
+        # one-row blocks, ragged last blocks and one block of all M = N + 4 rows
+        monkeypatch.setattr(fidelity, "_GAP_CELLS", cells)
+        spec = derive_parameters(2, N, 1.0, 0.1)
+        omega = build_full_coupling_matrix(spec)
+        for t in (spec.tau, 0.29 * spec.tau):
+            assert_bit_identical(register_elements(omega, t), one_shot_register_elements(omega, t))
+
+    def test_scratch_memory_is_not_quadratic(self):
+        # M = 2005: a whole gap matrix is 32 MB, and the one-shot form peaked at 61 MB
+        spec = derive_parameters(2, 2001, 1.0, 0.1)
+        omega = build_full_coupling_matrix(spec)
+        tracemalloc.start()
+        try:
+            register_elements(omega, spec.tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
     def test_rejects_inputs_outside_the_formula(self):
         with pytest.raises(ValueError, match="L1, L2"):
