@@ -16,10 +16,10 @@ ambiguity of the right-end mode.
 
 The sweep engine needs only those four elements of the full-chain
 propagator, and gets them from the eigenvalues alone (`register_elements`,
-the residue formula for a Jacobi matrix); the dense propagator is the
-reference it is tested against.  It evaluates them over a grid of coupling
-ratios, by default at t = tau, one grid point after another in the calling
-thread.
+the residue formula for a Jacobi matrix), solved as the mirror-symmetric
+chain's even and odd halves; the dense propagator is the reference it is
+tested against.  It evaluates them over a grid of coupling ratios, by
+default at t = tau, one grid point after another in the calling thread.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dsterf
 
 from .model import CouplingMatrix, derive_parameters, build_full_coupling_matrix
 from .propagator import Propagator
@@ -48,6 +48,26 @@ __all__ = [
 # cells of the gap-matrix block `register_elements` reuses: 512 KB, so a
 # block stays in a core's L2 cache instead of paging in 8 M^2 bytes per point
 _GAP_CELLS = 1 << 16
+
+
+def _spectrum(b: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the zero-diagonal tridiagonal matrix with bonds b;
+    a mirror-symmetric chain of odd order 2c + 1 as its even block (b[:c], the
+    last times sqrt 2) and odd block (b[:c-1]) (Cantoni & Butler, LAA 13, 275 (1976))."""
+    if not np.all(np.isfinite(b)):
+        raise ValueError("the bonds must be finite")
+
+    def eigvals(e: np.ndarray) -> np.ndarray:
+        # scipy's dsterf wants an e of length 1 for an order-1 block
+        lam, info = dsterf(np.zeros(len(e) + 1), e if len(e) else np.zeros(1))
+        if info:
+            raise np.linalg.LinAlgError(f"dsterf failed to converge (info = {info})")
+        return lam
+    c = len(b) // 2
+    if len(b) % 2 == 0 and c and np.array_equal(b, b[::-1]):
+        even = np.append(b[:c - 1], b[c - 1] * np.sqrt(2.0))
+        return np.sort(np.concatenate([eigvals(even), eigvals(b[:c - 1])]))
+    return eigvals(b)
 
 
 @dataclass(frozen=True)
@@ -92,9 +112,9 @@ def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
     summed as logs with their signs kept apart: chi'(lambda_k) has sign
     (-1)^(M-1-k) for ascending lambda, and a bond may be negative.
 
-    No eigenvectors are formed.  The O(M^2) log-differences set the time;
-    they are taken in row blocks of at most `_GAP_CELLS` cells, so the
-    scratch memory is O(M), not a whole M x M gap matrix.
+    No eigenvectors are formed: `_spectrum` solves a mirror-symmetric chain
+    as its even and odd halves.  The O(M^2) log-differences are taken in row
+    blocks of at most `_GAP_CELLS` cells, so the scratch memory is O(M).
     Requires the labels L1, L2 at the start and R2, R1 at the end and no
     zero bond (which would make eigenvalues degenerate); the diagonal is
     zero because a `CouplingMatrix` has none.  Where the sums leave the float
@@ -106,7 +126,7 @@ def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
     if not np.all(b):
         raise ValueError("register_elements needs every bond nonzero")
     m = omega.order
-    lam = eigh_tridiagonal(np.zeros(m), b, eigvals_only=True)
+    lam = _spectrum(b)
     # at extreme couplings or times the sums overflow: the caller gets a
     # non-finite element rather than a warning
     with np.errstate(all="ignore"):

@@ -365,8 +365,12 @@ def _codec(encoding):
     only: codes[x] is b_x as bits (0, 1) = (L1, L2) of the basis index, and
     decode[h] is the decoded pattern of the evolved pattern h, both read
     from bits (L - 1, L - 2) = (R1, R2) as R1 << 1 | R2, their _PATTERNS index.
+    A descending pair is (b1, b0)'s codec, codes swapped, R1 flipped (X at both ends).
     """
     b0, b1 = _encoding_pairs(encoding)
+    if b0 > b1:
+        codes, decode = _codec((b1, b0))
+        return codes[::-1], decode ^ 2
     p = b0[1]
     sources = [(0, p), (1, p)] + [a for a in _PATTERNS if a[1] != p]
     images = [b0, b1] + [a for a in _PATTERNS if a not in (b0, b1)]

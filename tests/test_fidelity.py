@@ -1,9 +1,11 @@
 import threading
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg.lapack import dsterf
 from hypothesis import example, given, settings, strategies as st
 
 from dfsqst import fidelity
@@ -98,10 +100,12 @@ def scale_register_bonds(omega, left, right):
 
 def one_shot_register_elements(omega, t):
     """`register_elements` with the whole M x M gap matrix formed at once:
-    the reference the row-blocked form must reproduce bit for bit."""
+    the reference the row-blocked form must reproduce bit for bit.  It takes
+    the same eigenvalues (`fidelity._spectrum`), which `TestSpectrum` and the
+    mpmath tests check on their own."""
     b = omega.bonds
     m = omega.order
-    lam = eigh_tridiagonal(np.zeros(m), b, eigvals_only=True)
+    lam = fidelity._spectrum(b)
     with np.errstate(all="ignore"):
         gaps = np.abs(np.subtract.outer(lam, lam))
         np.fill_diagonal(gaps, 1.0)
@@ -115,6 +119,50 @@ def one_shot_register_elements(omega, t):
 
         return RegisterElements(d_r1l1=element(0, m - 1, 0), d_r2l2=element(1, m - 2, 2),
                                 d_r1l2=element(1, m - 1, 1), d_r2l1=element(0, m - 2, 1))
+
+
+def mpmath_fidelities(omega, t, dps=30):
+    """(F_DFS, F_NDFS) of the chain at time t, evaluated at `dps` digits:
+    each float eigenvalue Newton-refined on the characteristic polynomial,
+    then the residue sum `register_elements` uses, with chi'(lambda_k) taken
+    from the three-term recurrence rather than from the eigenvalue gaps."""
+    with mpmath.workdps(dps):
+        b = [mpmath.mpf(float(x)) for x in omega.bonds]
+        b2 = [x * x for x in b]
+        m = omega.order
+
+        def chi(x):
+            # (chi, chi') of the leading blocks, grown site by site to all M
+            p0, p1, d0, d1 = 1, x, 0, 1
+            for bb in b2:
+                p0, p1, d0, d1 = p1, x * p1 - bb * p0, d1, p1 + x * d1 - bb * d0
+            return p1, d1
+
+        lams, dchi = [], []
+        for x in eigh_tridiagonal(np.zeros(m), omega.bonds, eigvals_only=True):
+            lam = mpmath.mpf(float(x))
+            for _ in range(3):
+                p, d = chi(lam)
+                lam -= p / d
+            p, d = chi(lam)
+            assert abs(p / d) <= mpmath.mpf(10) ** (3 - dps)
+            lams.append(lam)
+            dchi.append(d)
+        # each float eigenvalue refined to its own root
+        assert all(a < c for a, c in zip(lams, lams[1:]))
+        w = [mpmath.expj(-lam * mpmath.mpf(float(t))) / d for lam, d in zip(lams, dchi)]
+
+        def element(first, stop, power):
+            return mpmath.fprod(b[first:stop]) * mpmath.fsum(
+                wk * lam ** power for wk, lam in zip(w, lams))
+
+        d11, d22 = element(0, m - 1, 0), element(1, m - 2, 2)
+        d12, d21 = element(1, m - 1, 1), element(0, m - 2, 1)
+        half = mpmath.mpf(1) / 2
+        return (half + (2 * mpmath.re(mpmath.conj(d11) * d22) + abs(d11) ** 2
+                        - abs(d12) ** 2) / 6,
+                half + (2 * mpmath.re(d11 * d22 - d12 * d21) + abs(d11) ** 2
+                        + abs(d12) ** 2) / 6)
 
 
 def assert_bit_identical(fast, reference):
@@ -192,12 +240,76 @@ class TestRegisterElements:
             tracemalloc.stop()
         assert peak <= 4 * 2 ** 20
 
+    @pytest.mark.parametrize("N", [11, 51, 101])
+    @pytest.mark.parametrize("ratio", [1e-3, 0.03, 1.0])
+    def test_fidelities_match_mpmath(self, N, ratio):
+        # largest |dF| measured: 1.0e-14 (N = 101, ratio 0.03)
+        spec = derive_parameters(2, N, 1.0, ratio)
+        omega = build_full_coupling_matrix(spec)
+        e = register_elements(omega, spec.tau)
+        f_dfs_mp, f_ndfs_mp = mpmath_fidelities(omega, spec.tau)
+        assert abs(f_dfs(e) - f_dfs_mp) <= 1e-13
+        assert abs(f_ndfs(e) - f_ndfs_mp) <= 1e-13
+
     def test_rejects_inputs_outside_the_formula(self):
         with pytest.raises(ValueError, match="L1, L2"):
             register_elements(build_full_coupling_matrix(derive_parameters(1, 3, 1.0, 0.1)), 1.0)
         omega = build_full_coupling_matrix(derive_parameters(2, 3, 1.0, 0.1))
         with pytest.raises(ValueError, match="nonzero"):
             register_elements(scale_register_bonds(omega, 0.0, 1.0), 1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                register_elements(scale_register_bonds(omega, bad, 1.0), 1.0)
+            with pytest.raises(ValueError, match="finite"):
+                register_elements(scale_register_bonds(omega, bad, bad), 1.0)
+
+
+signed_bonds = st.floats(-1e3, 1e3).filter(lambda b: abs(b) >= 1e-3)
+
+
+@st.composite
+def chain_bonds(draw):
+    """Bonds of a chain of any order up to 121: a palindrome (odd order
+    when it has an even number of bonds) or any bonds at all."""
+    if draw(st.booleans()):
+        half = draw(st.lists(signed_bonds, max_size=60))
+        return np.array(half + draw(st.lists(signed_bonds, max_size=1)) + half[::-1])
+    return np.array(draw(st.lists(signed_bonds, max_size=120)))
+
+
+class TestSpectrum:
+    @settings(max_examples=200, deadline=None)
+    @given(bonds=chain_bonds())
+    @example(bonds=build_effective_coupling_matrix(derive_parameters(2, 3, 1.0, 0.1)).bonds)
+    @example(bonds=build_full_coupling_matrix(derive_parameters(2, 1001, 1.0, 1e-3)).bonds)
+    @example(bonds=np.array([]))
+    def test_matches_full_order_eigh_tridiagonal(self, bonds):
+        m = len(bonds) + 1
+        reference = eigh_tridiagonal(np.zeros(m), bonds, eigvals_only=True) if m > 1 else [0.0]
+        scale = np.abs(bonds).max(initial=0.0)
+        np.testing.assert_allclose(fidelity._spectrum(bonds), reference, rtol=0,
+                                   atol=8 * np.sqrt(m) * np.finfo(float).eps * scale)
+
+    def test_mirror_symmetric_chain_is_solved_in_two_halves(self, monkeypatch):
+        orders = []
+
+        def recorded(d, e):
+            orders.append(len(d))
+            return dsterf(d, e)
+
+        monkeypatch.setattr(fidelity, "dsterf", recorded)
+        spec = derive_parameters(2, 1001, 1.0, 0.03)
+        omega = build_full_coupling_matrix(spec)
+        register_elements(omega, spec.tau)
+        assert orders == [503, 502]
+        orders.clear()
+        register_elements(scale_register_bonds(omega, 1.0, 0.5), spec.tau)
+        assert orders == [1005]
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(fidelity, "dsterf", lambda d, e: (d, 3))
+        with pytest.raises(LinAlgError, match="info = 3"):
+            fidelity._spectrum(np.ones(4))
 
 
 class TestSweep:

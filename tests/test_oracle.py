@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -255,8 +257,13 @@ def literal_codec(L, encoding):
     L2 is prepared in p = b0[1]; encoding sends the (L1, L2) pattern (x, p)
     to b_x and the other two patterns onto the two outside {b0, b1}, both
     in tuple order; decoding is the inverse on (R1, R2) = bits (L-1, L-2).
+    A descending pair (b0 after b1) is the codec of (b1, b0) with a NOT on
+    L1 before encoding and a NOT on R1 after decoding.
     """
     b0, b1 = {"dfs": ((0, 1), (1, 0)), "ndfs": ((0, 0), (1, 1))}.get(encoding, encoding)
+    if b0 > b1:
+        p, enc, dec = literal_codec(L, (b1, b0))
+        return p, enc ^ 1, dec[np.arange(1 << L) ^ 1 << (L - 1)]
     p = b0[1]
     patterns = [(0, 0), (0, 1), (1, 0), (1, 1)]
     sources = [(0, p), (1, p)] + [a for a in patterns if a[1] != p]
@@ -498,14 +505,26 @@ class TestBruteForceFidelity:
         spec = derive_parameters(2, 3, 1.0, 0.1)
         ndfs = average_fidelity_bruteforce(spec, "ndfs", spec.tau)
         assert ndfs > 0.99
-        for pair in (((0, 0), (1, 1)), [[0, 0], [1, 1]]):
+        for pair in (((0, 0), (1, 1)), [[0, 0], [1, 1]], ((1, 1), (0, 0))):
             assert average_fidelity_bruteforce(spec, pair, spec.tau) == ndfs
-        # relabelled, the codec sends the leaked patterns to other rows, so
-        # only the target, not the value, is that of "ndfs"
         for pair, target in ((((1, 1), (0, 0)), "z"), (((1, 0), (0, 1)), "identity"),
                              *((p, "identity") for p in REMAINING_SUBSPACES)):
             assert (average_fidelity_bruteforce(spec, pair, spec.tau)
                     == average_fidelity_bruteforce(spec, pair, spec.tau, logical_target=target))
+
+    @pytest.mark.parametrize("N", [3, 5])
+    @pytest.mark.parametrize("dephased", [False, True])
+    def test_fidelity_does_not_depend_on_which_codeword_is_logical_0(self, N, dephased):
+        # relabelling the codewords used to move the value: at N = 3,
+        # ((0, 0), (1, 1)) gave 0.99930 and ((1, 1), (0, 0)) 0.99862
+        spec = derive_parameters(2, N, 1.0, 0.1)
+        deph = DephasingModel(sigma_lambda=0.5 / spec.tau, samples=20, seed=3) if dephased else None
+        for b0, b1 in itertools.permutations(oracle._PATTERNS, 2):
+            for target in ("identity", "z"):
+                assert (average_fidelity_bruteforce(spec, (b0, b1), spec.tau, deph=deph,
+                                                    logical_target=target)
+                        == average_fidelity_bruteforce(spec, (b1, b0), spec.tau, deph=deph,
+                                                       logical_target=target))
 
     def test_requires_two_qubit_registers(self):
         spec = derive_parameters(1, 3, 1.0, 0.1)
