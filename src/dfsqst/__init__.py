@@ -8,9 +8,8 @@ from .propagator import (SpectralDecomposition, Propagator, eigendecompose,
                          propagator_at, closed_form_effective_elements,
                          mirror_inversion_report)
 from .fidelity import (RegisterElements, extract_register_elements,
-                       register_elements, pauli_transfer_terms, f_dfs, f_ndfs,
-                       SweepRow, SweepResult, sweep_fidelity,
-                       default_ratio_grid)
+                       register_elements, f_dfs, f_ndfs, SweepRow, SweepResult,
+                       sweep_fidelity, default_ratio_grid)
 from .oracle import (DephasingModel, build_spin_hamiltonian,
                      evolve_state, jw_phase_prediction,
                      average_fidelity_bruteforce, dephasing_protection_report,

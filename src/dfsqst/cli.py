@@ -72,7 +72,7 @@ _OPTIONS = {
 _CHOICES = {"encoding": ("dfs", "ndfs", "both"), "format": ("csv", "json")}
 
 # Work budget of `sweep`: a point at channel length N takes O(N^2) time
-# (about 1.3 s at N = 10001 on a 2-core x86-64 host, in O(N) memory), and the
+# (about 0.4 s at N = 10001 on a 2-core x86-64 host, in O(N) memory), and the
 # ratio grid is 8 bytes per step.  Larger inputs are a usage error, before
 # any work starts.
 MAX_CHANNEL_LENGTH = 10001

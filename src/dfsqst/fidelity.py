@@ -16,18 +16,29 @@ ambiguity of the right-end mode.
 
 The sweep engine needs only those four elements of the full-chain
 propagator, and gets them from the eigenvalues alone (`register_elements`,
-the residue formula for a Jacobi matrix), solved as the mirror-symmetric
-chain's even and odd halves; the dense propagator is the reference it is
-tested against.  It evaluates them over a grid of coupling ratios, by
-default at t = tau, one grid point after another in the calling thread.
+the residue formula for a Jacobi matrix); the dense propagator is the
+reference it is tested against.  The mirror-symmetric chain is solved as its
+even and odd halves.  Each half has a zero diagonal, so its spectrum is
++-sigma (and one zero at odd order), where sigma are the singular values of
+a bidiagonal of half its order, found by LAPACK's dqds (`dlasq1`) to high
+relative accuracy.  The log-gap sums then run over the positive half
+sigma_1..sigma_p alone, a quarter of the full spectrum's pairs, with each
+gap floored at eps times the pair's sum so that modes of the two halves
+that agree to every bit stay finite.  The engine evaluates the elements over
+a grid of coupling ratios, by default at t = tau, one grid point after
+another in the calling thread.
 """
 
 from __future__ import annotations
 
+import cmath
+import ctypes
+import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsterf
+import scipy
+from scipy.linalg import cython_lapack
 
 from .model import CouplingMatrix, derive_parameters, build_full_coupling_matrix
 from .propagator import Propagator
@@ -36,7 +47,6 @@ __all__ = [
     "RegisterElements",
     "extract_register_elements",
     "register_elements",
-    "pauli_transfer_terms",
     "f_dfs",
     "f_ndfs",
     "SweepRow",
@@ -45,29 +55,78 @@ __all__ = [
     "default_ratio_grid",
 ]
 
-# cells of the gap-matrix block `register_elements` reuses: 512 KB, so a
-# block stays in a core's L2 cache instead of paging in 8 M^2 bytes per point
+# cells of each of the three gap-matrix blocks `register_elements` reuses:
+# 512 KB each, so they stay near the core instead of paging in 6 M^2 bytes
+# per point
 _GAP_CELLS = 1 << 16
+_EPS = np.finfo(float).eps
+
+_DLASQ1_SIGNATURE = "void (int *, d *, d *, d *, int *)"
+
+
+def _lapack_routine(name: str, signature: str):
+    """The LAPACK routine `name` from scipy's cython_lapack capsule table, as a
+    ctypes function of raw addresses, once its C signature is checked to be
+    `signature` (Cython's mangled typedef names spelled short, so a double is d)."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    found = re.sub(r"__pyx_t_\w*?cython_lapack_", "", capsule_name.decode())
+    if found != signature:
+        # an ILP64 or otherwise changed ABI would take the arguments wrongly
+        raise ImportError(f"scipy {scipy.__version__} exports {name} as {found!r}, "
+                          f"not {signature!r}")
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, capsule_name)
+    # raw addresses: ndpointer argument checks cost more than a small solve
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * signature.count("*"))(address)
+
+
+# dqds: the singular values of a bidiagonal to high relative accuracy
+# (Fernando & Parlett, Numer. Math. 67, 191 (1994))
+_dlasq1 = _lapack_routine("dlasq1", _DLASQ1_SIGNATURE)
+
+
+def _singular_values(b: np.ndarray) -> np.ndarray:
+    """The ascending positive half of the spectrum of the zero-diagonal
+    tridiagonal matrix with bonds b: the singular values of its even-by-odd
+    site block, the bidiagonal with diagonal b[0::2] and superdiagonal b[1::2]
+    (Golub & Kahan, SIAM J. Numer. Anal. B 2, 205 (1965))."""
+    n = len(b) // 2 + 1
+    # the diagonal and the superdiagonal, both zero-padded to order n, then
+    # dlasq1's workspace of 4n
+    work = np.zeros(6 * n)
+    work[:(len(b) + 1) // 2] = b[0::2]
+    work[n:n + len(b) // 2] = b[1::2]
+    order, info = ctypes.c_int(n), ctypes.c_int()
+    # the buffer's address, at a third of the cost of `work.ctypes.data`
+    at = ctypes.addressof(ctypes.c_char.from_buffer(work))
+    _dlasq1(ctypes.addressof(order), at, at + 8 * n, at + 16 * n, ctypes.addressof(info))
+    if info.value:
+        raise np.linalg.LinAlgError(f"dlasq1 failed to converge (info = {info.value})")
+    # descending; an odd-order matrix has one more even site than odd ones,
+    # and the structural zero singular value that leaves is dropped
+    return work[:(len(b) + 1) // 2][::-1]
 
 
 def _spectrum(b: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the zero-diagonal tridiagonal matrix with bonds b;
-    a mirror-symmetric chain of odd order 2c + 1 as its even block (b[:c], the
-    last times sqrt 2) and odd block (b[:c-1]) (Cantoni & Butler, LAA 13, 275 (1976))."""
-    if not np.all(np.isfinite(b)):
+    """The floor(M/2) ascending positive eigenvalues of the zero-diagonal
+    tridiagonal matrix of order M with bonds b, whose spectrum is these, their
+    negatives and, at odd order, one zero.  A mirror-symmetric chain of odd
+    order 2c + 1 is solved as its even block (b[:c], the last times sqrt 2)
+    and odd block (b[:c-1]) (Cantoni & Butler, LAA 13, 275 (1976)), any other
+    chain whole; each solve is one dqds call on a bidiagonal of half the
+    order (`_singular_values`)."""
+    if not np.isfinite(b).all():
         raise ValueError("the bonds must be finite")
-
-    def eigvals(e: np.ndarray) -> np.ndarray:
-        # scipy's dsterf wants an e of length 1 for an order-1 block
-        lam, info = dsterf(np.zeros(len(e) + 1), e if len(e) else np.zeros(1))
-        if info:
-            raise np.linalg.LinAlgError(f"dsterf failed to converge (info = {info})")
-        return lam
     c = len(b) // 2
-    if len(b) % 2 == 0 and c and np.array_equal(b, b[::-1]):
-        even = np.append(b[:c - 1], b[c - 1] * np.sqrt(2.0))
-        return np.sort(np.concatenate([eigvals(even), eigvals(b[:c - 1])]))
-    return eigvals(b)
+    if len(b) % 2 == 0 and c and (b == b[::-1]).all():
+        even = b[:c].copy()
+        even[-1] *= np.sqrt(2.0)
+        sig = np.concatenate([_singular_values(even), _singular_values(b[:c - 1])])
+        sig.sort()
+        return sig
+    return _singular_values(b)
 
 
 @dataclass(frozen=True)
@@ -112,9 +171,19 @@ def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
     summed as logs with their signs kept apart: chi'(lambda_k) has sign
     (-1)^(M-1-k) for ascending lambda, and a bond may be negative.
 
-    No eigenvectors are formed: `_spectrum` solves a mirror-symmetric chain
-    as its even and odd halves.  The O(M^2) log-differences are taken in row
-    blocks of at most `_GAP_CELLS` cells, so the scratch memory is O(M).
+    No eigenvectors are formed.  `_spectrum` gives the positive half
+    sigma_1..sigma_p of the spectrum (the rest is -sigma and, when
+    z = M - 2p is 1, a zero), so with every factor taken over that half
+
+        |chi'(+-sigma_k)| = 2 sigma_k sigma_k^z prod_{j != k} |sigma_k^2 - sigma_j^2|,
+        |chi'(0)| = prod_j sigma_j^2.
+
+    Each factor |sigma_k^2 - sigma_j^2| is max(|sigma_k - sigma_j|,
+    eps (sigma_k + sigma_j)) (sigma_k + sigma_j): modes of the two mirror
+    blocks can agree to every bit at strong coupling, and a floor relative to
+    the pair, not to the largest mode, keeps the tiny register gaps of weak
+    coupling.  The p^2 = M^2/4 logs are taken in row blocks of at most
+    `_GAP_CELLS` cells, so the scratch memory is O(M).
     Requires the labels L1, L2 at the start and R2, R1 at the end and no
     zero bond (which would make eigenvalues degenerate); the diagonal is
     zero because a `CouplingMatrix` has none.  Where the sums leave the float
@@ -123,45 +192,58 @@ def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
     if omega.site_labels[:2] != ("L1", "L2") or omega.site_labels[-2:] != ("R2", "R1"):
         raise ValueError("register_elements needs the sites L1, L2, ..., R2, R1")
     b = omega.bonds
-    if not np.all(b):
+    if not b.all():
         raise ValueError("register_elements needs every bond nonzero")
     m = omega.order
-    lam = _spectrum(b)
+    sig = _spectrum(b)
+    p, z = len(sig), m - 2 * len(sig)
     # at extreme couplings or times the sums overflow: the caller gets a
     # non-finite element rather than a warning
     with np.errstate(all="ignore"):
-        # log |chi'(lambda_k)|, one block of rows of the gap matrix at a time;
-        # each row is still summed whole, so the blocking changes no bit
+        # log |chi'(lambda_k)| for ascending lambda, the positive half `pos`
+        # first: sum_{j != k} log |sigma_k^2 - sigma_j^2|, one block of rows at
+        # a time; each row is still summed whole, so the blocking changes no bit
         log_chi = np.empty(m)
-        rows = max(1, _GAP_CELLS // m)
-        buf = np.empty((min(rows, m), m))
-        for k0 in range(0, m, rows):
-            k1 = min(k0 + rows, m)
-            g = buf[:k1 - k0]
-            np.abs(np.subtract.outer(lam[k0:k1], lam, out=g), out=g)
+        pos = log_chi[m - p:]
+        rows = max(1, _GAP_CELLS // p)
+        gap, total, floor = np.empty((3, min(rows, p), p))
+        for k0 in range(0, p, rows):
+            k1 = min(k0 + rows, p)
+            g, s, f = gap[:k1 - k0], total[:k1 - k0], floor[:k1 - k0]
+            np.add.outer(sig[k0:k1], sig, out=s)
+            np.abs(np.subtract.outer(sig[k0:k1], sig, out=g), out=g)
+            # modes of the two mirror blocks can agree to every bit
+            np.maximum(g, np.multiply(s, _EPS, out=f), out=g)
+            g *= s
             np.fill_diagonal(g[:, k0:k1], 1.0)
-            np.log(g, out=g).sum(axis=1, out=log_chi[k0:k1])
-        # e^{-i lambda_k t} times the sign of chi'(lambda_k)
-        phases = np.exp(-1j * lam * t) * np.where((m - 1 - np.arange(m)) % 2, -1.0, 1.0)
+            np.log(g, out=g).sum(axis=1, out=pos[k0:k1])
+        # |chi'(+-sigma_k)| = 2 sigma_k^(1+z) prod_{j != k} |sigma_k^2 - sigma_j^2|
+        # and |chi'(0)| = prod_j sigma_j^2, for the spectrum in ascending order
+        pos += np.log(2.0 * sig)
+        if z:
+            log_sig = np.log(sig)
+            pos += log_sig
+            log_chi[p] = 2.0 * log_sig.sum()
+        log_chi[:p] = pos[::-1]
+        lam = np.zeros(m)
+        lam[:p], lam[m - p:] = -sig[::-1], sig
+        # e^{-i lambda_k t} times the sign (-1)^(M-1-k) of chi'(lambda_k)
+        sign = np.ones(m)
+        sign[m - 2::-2] = -1.0
+        phases = np.exp(-1j * lam * t) * sign
         log_b, sign_b = np.log(np.abs(b)), np.sign(b)
 
         def element(first: int, stop: int, power: int) -> complex:
             # bonds b[first:stop] (0-based) times lambda^power
-            weights = np.exp(log_b[first:stop].sum() - log_chi) * lam ** power
-            return np.prod(sign_b[first:stop]) * (weights @ phases)
+            weights = np.exp(log_b[first:stop].sum() - log_chi)
+            if power:
+                weights *= lam ** power
+            return sign_b[first:stop].prod() * (weights @ phases)
 
         # Delta_{R1,L1} = Delta_{1,M}, Delta_{R2,L2} = Delta_{2,M-1},
         # Delta_{R1,L2} = Delta_{2,M}, Delta_{R2,L1} = Delta_{1,M-1}
         return RegisterElements(d_r1l1=element(0, m - 1, 0), d_r2l2=element(1, m - 2, 2),
                                 d_r1l2=element(1, m - 1, 1), d_r2l1=element(0, m - 2, 1))
-
-
-def pauli_transfer_terms(e: RegisterElements) -> tuple[float, float, float]:
-    """Pauli x/y/z transfer traces of the encode-evolve-decode channel."""
-    t_x = 2.0 * np.real(e.d_r1l1 * np.conj(e.d_r2l2) + e.d_r1l2 * np.conj(e.d_r2l1))
-    t_y = 2.0 * np.real(e.d_r1l1 * np.conj(e.d_r2l2) - e.d_r1l2 * np.conj(e.d_r2l1))
-    t_z = 2.0 * (abs(e.d_r1l1) ** 2 - abs(e.d_r1l2) ** 2)
-    return float(t_x), float(t_y), float(t_z)
 
 
 def f_dfs(e: RegisterElements) -> float:
@@ -215,7 +297,7 @@ def _point_fidelities(n: int, N: int, ratio: float, t_choice,
     elems = register_elements(build_full_coupling_matrix(spec), t)
     fids = [f_dfs(elems) if enc == "dfs" else f_ndfs(elems) for enc in encodings]
     # extreme ratios or times overflow the spectral sums
-    if not np.all(np.isfinite([*vars(elems).values(), *fids])):
+    if not all(map(cmath.isfinite, (*vars(elems).values(), *fids))):
         raise ValueError(f"non-finite result at N = {N}, ratio = {ratio!r}, t = {t!r}")
     # a fidelity is at most 1, but rounding can put the formula a few ulps
     # above it (up to 1 + 2.7e-15 seen at N = 1); only the rows are clipped,

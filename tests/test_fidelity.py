@@ -1,11 +1,12 @@
+import ctypes
 import threading
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg import LinAlgError, eigh_tridiagonal
-from scipy.linalg.lapack import dsterf
 from hypothesis import example, given, settings, strategies as st
 
 from dfsqst import fidelity
@@ -14,14 +15,23 @@ from dfsqst.model import (CouplingMatrix, derive_parameters, build_full_coupling
 from dfsqst.propagator import (closed_form_effective_elements, eigendecompose,
                                propagator_at)
 from dfsqst.fidelity import (RegisterElements, extract_register_elements,
-                             register_elements, pauli_transfer_terms, f_dfs, f_ndfs,
-                             sweep_fidelity, default_ratio_grid)
+                             register_elements, f_dfs, f_ndfs, sweep_fidelity,
+                             default_ratio_grid)
 
 ELEMENT_NAMES = ("d_r1l1", "d_r2l2", "d_r1l2", "d_r2l1")
 
 
 def elements(d11, d22, d12, d21):
     return RegisterElements(d_r1l1=d11, d_r2l2=d22, d_r1l2=d12, d_r2l1=d21)
+
+
+def pauli_transfer_terms(e):
+    """Pauli x/y/z transfer traces of the encode-evolve-decode channel: the
+    second route to F_DFS = 1/2 + (t_x + t_y + t_z)/12."""
+    t_x = 2.0 * np.real(e.d_r1l1 * np.conj(e.d_r2l2) + e.d_r1l2 * np.conj(e.d_r2l1))
+    t_y = 2.0 * np.real(e.d_r1l1 * np.conj(e.d_r2l2) - e.d_r1l2 * np.conj(e.d_r2l1))
+    t_z = 2.0 * (abs(e.d_r1l1) ** 2 - abs(e.d_r1l2) ** 2)
+    return float(t_x), float(t_y), float(t_z)
 
 
 class TestPauliTransferTerms:
@@ -99,17 +109,24 @@ def scale_register_bonds(omega, left, right):
 
 
 def one_shot_register_elements(omega, t):
-    """`register_elements` with the whole M x M gap matrix formed at once:
-    the reference the row-blocked form must reproduce bit for bit.  It takes
-    the same eigenvalues (`fidelity._spectrum`), which `TestSpectrum` and the
-    mpmath tests check on their own."""
+    """`register_elements` with the whole p x p gap matrix of the positive
+    half-spectrum formed at once: the reference the row-blocked form must
+    reproduce bit for bit.  It takes the same eigenvalues
+    (`fidelity._spectrum`), which `TestSpectrum` and the mpmath tests check
+    on their own."""
     b = omega.bonds
     m = omega.order
-    lam = fidelity._spectrum(b)
+    sig = fidelity._spectrum(b)
+    z = m - 2 * len(sig)
     with np.errstate(all="ignore"):
-        gaps = np.abs(np.subtract.outer(lam, lam))
+        total = np.add.outer(sig, sig)
+        gaps = np.maximum(np.abs(np.subtract.outer(sig, sig)), np.finfo(float).eps * total)
+        gaps *= total
         np.fill_diagonal(gaps, 1.0)
-        log_chi = np.log(gaps, out=gaps).sum(axis=1)
+        log_sig = np.log(sig)
+        half = np.log(gaps).sum(axis=1) + np.log(2.0 * sig) + z * log_sig
+        lam = np.concatenate([-sig[::-1], np.zeros(z), sig])
+        log_chi = np.concatenate([half[::-1], np.full(z, 2.0 * log_sig.sum()), half])
         phases = np.exp(-1j * lam * t) * np.where((m - 1 - np.arange(m)) % 2, -1.0, 1.0)
         log_b, sign_b = np.log(np.abs(b)), np.sign(b)
 
@@ -251,6 +268,45 @@ class TestRegisterElements:
         assert abs(f_dfs(e) - f_dfs_mp) <= 1e-13
         assert abs(f_ndfs(e) - f_ndfs_mp) <= 1e-13
 
+    @pytest.mark.parametrize("N", [11, 21, 51, 101, 1001])
+    def test_strong_coupling_matches_dense_propagator(self, N):
+        # register modes of the two mirror blocks can agree to every bit here;
+        # without the floor on their gap, some rows came out nan
+        for ratio in (1.0, 1.5, 2.0, 3.0, 5.0, 10.0):
+            spec = derive_parameters(2, N, 1.0, ratio)
+            omega = build_full_coupling_matrix(spec)
+            fast = register_elements(omega, spec.tau)
+            dense = dense_register_elements(omega, spec.tau)
+            assert abs(f_dfs(fast) - f_dfs(dense)) <= 1e-10, ratio
+            assert abs(f_ndfs(fast) - f_ndfs(dense)) <= 1e-10, ratio
+
+    @pytest.mark.parametrize("N", [3, 101])
+    @pytest.mark.parametrize("ratio", [1e-12, 1e-40, 1e-150])
+    def test_very_weak_coupling_transfers_perfectly(self, N, ratio):
+        # a floor of eps times the largest mode, not times the pair's sum,
+        # swamps the register gaps here: it gave F = 0.5234 from ratio 1e-40
+        spec = derive_parameters(2, N, 1.0, ratio)
+        e = register_elements(build_full_coupling_matrix(spec), spec.tau)
+        assert f_dfs(e) >= 1 - 1e-12
+        assert f_ndfs(e) >= 1 - 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.sampled_from([1, 3, 11, 101]),
+           log_ratio=st.floats(-3.0, 0.0),
+           log_scale=st.floats(-150.0, 150.0))
+    @example(N=101, log_ratio=-3.0, log_scale=-150.0)
+    @example(N=101, log_ratio=0.0, log_scale=150.0)
+    def test_scale_covariance(self, N, log_ratio, log_scale):
+        # exp(-i (s Omega)(t / s)) = exp(-i Omega t): the spectrum and the log
+        # sums must neither overflow nor underflow over 300 decades of scale
+        spec = derive_parameters(2, N, 1.0, 10.0 ** log_ratio)
+        omega = build_full_coupling_matrix(spec)
+        s = 10.0 ** log_scale
+        scaled = CouplingMatrix(bonds=s * omega.bonds, site_labels=omega.site_labels)
+        e, e_scaled = register_elements(omega, spec.tau), register_elements(scaled, spec.tau / s)
+        assert abs(f_dfs(e_scaled) - f_dfs(e)) <= 1e-10
+        assert abs(f_ndfs(e_scaled) - f_ndfs(e)) <= 1e-10
+
     def test_rejects_inputs_outside_the_formula(self):
         with pytest.raises(ValueError, match="L1, L2"):
             register_elements(build_full_coupling_matrix(derive_parameters(1, 3, 1.0, 0.1)), 1.0)
@@ -287,29 +343,43 @@ class TestSpectrum:
         m = len(bonds) + 1
         reference = eigh_tridiagonal(np.zeros(m), bonds, eigvals_only=True) if m > 1 else [0.0]
         scale = np.abs(bonds).max(initial=0.0)
-        np.testing.assert_allclose(fidelity._spectrum(bonds), reference, rtol=0,
+        np.testing.assert_allclose(fidelity._spectrum(bonds), reference[m - m // 2:], rtol=0,
                                    atol=8 * np.sqrt(m) * np.finfo(float).eps * scale)
 
     def test_mirror_symmetric_chain_is_solved_in_two_halves(self, monkeypatch):
         orders = []
+        dlasq1 = fidelity._dlasq1
 
-        def recorded(d, e):
-            orders.append(len(d))
-            return dsterf(d, e)
+        def recorded(n, d, e, work, info):
+            orders.append(ctypes.c_int.from_address(n).value)
+            dlasq1(n, d, e, work, info)
 
-        monkeypatch.setattr(fidelity, "dsterf", recorded)
+        monkeypatch.setattr(fidelity, "_dlasq1", recorded)
         spec = derive_parameters(2, 1001, 1.0, 0.03)
         omega = build_full_coupling_matrix(spec)
         register_elements(omega, spec.tau)
-        assert orders == [503, 502]
+        # bidiagonals of the order-503 even and order-502 odd blocks
+        assert orders == [252, 251]
         orders.clear()
         register_elements(scale_register_bonds(omega, 1.0, 0.5), spec.tau)
-        assert orders == [1005]
+        assert orders == [503]
 
     def test_lapack_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(fidelity, "dsterf", lambda d, e: (d, 3))
+        def failed(n, d, e, work, info):
+            ctypes.c_int.from_address(info).value = 3
+
+        monkeypatch.setattr(fidelity, "_dlasq1", failed)
         with pytest.raises(LinAlgError, match="info = 3"):
             fidelity._spectrum(np.ones(4))
+
+    def test_binding_checks_the_c_signature(self):
+        # dsterf takes one array fewer than dlasq1; an ABI that spells the
+        # routine differently must not be called
+        with pytest.raises(ImportError, match=f"scipy {scipy.__version__} exports dsterf"):
+            fidelity._lapack_routine("dsterf", fidelity._DLASQ1_SIGNATURE)
+        with pytest.raises(ImportError, match="exports dlasq1"):
+            fidelity._lapack_routine("dlasq1", "void (long *, d *, d *, d *, long *)")
+        assert fidelity._lapack_routine("dlasq1", fidelity._DLASQ1_SIGNATURE)
 
 
 class TestSweep:
