@@ -24,7 +24,9 @@ a bidiagonal of half its order, found by LAPACK's dqds (`dlasq1`) to high
 relative accuracy.  The log-gap sums then run over the positive half
 sigma_1..sigma_p alone, a quarter of the full spectrum's pairs, with each
 gap floored at eps times the pair's sum so that modes of the two halves
-that agree to every bit stay finite.  The engine evaluates the elements over
+that agree to every bit stay finite.  A gap is one product of two factors
+while every such product is a normal float, and the sum of their two logs
+at weak coupling or extreme scales.  The engine evaluates the elements over
 a grid of coupling ratios, by default at t = tau, one grid point after
 another in the calling thread.
 """
@@ -60,6 +62,11 @@ __all__ = [
 # per point
 _GAP_CELLS = 1 << 16
 _EPS = np.finfo(float).eps
+# a floored gap |sigma_k^2 - sigma_j^2| lies in [eps (sigma_k + sigma_j)^2,
+# (2 sigma_max)^2]; `register_elements` takes it as one product while that
+# range is normal floats, and as the log of each factor otherwise
+_TINY = np.finfo(float).tiny
+_ROOT_MAX = np.sqrt(np.finfo(float).max)
 
 _DLASQ1_SIGNATURE = "void (int *, d *, d *, d *, int *)"
 
@@ -182,8 +189,11 @@ def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
     eps (sigma_k + sigma_j)) (sigma_k + sigma_j): modes of the two mirror
     blocks can agree to every bit at strong coupling, and a floor relative to
     the pair, not to the largest mode, keeps the tiny register gaps of weak
-    coupling.  The p^2 = M^2/4 logs are taken in row blocks of at most
-    `_GAP_CELLS` cells, so the scratch memory is O(M).
+    coupling.  The product of the two factors is a normal float unless a
+    mode lies below about 1e-146 or above 1e154; at such a point each factor
+    gets its own log instead, so no gap loses digits as a subnormal or drops
+    a mode as an overflow.  The p^2 = M^2/4 products are taken in row blocks
+    of at most `_GAP_CELLS` cells, so the scratch memory is O(M).
     Requires the labels L1, L2 at the start and R2, R1 at the end and no
     zero bond (which would make eigenvalues degenerate); the diagonal is
     zero because a `CouplingMatrix` has none.  Where the sums leave the float
@@ -207,6 +217,9 @@ def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
         pos = log_chi[m - p:]
         rows = max(1, _GAP_CELLS // p)
         gap, total, floor = np.empty((3, min(rows, p), p))
+        # past that range a subnormal product would lose digits, and an
+        # overflowed one would drop a mode from the sums
+        in_range = _TINY <= _EPS * (sig[0] + sig[1]) ** 2 and 2.0 * sig[-1] <= _ROOT_MAX
         for k0 in range(0, p, rows):
             k1 = min(k0 + rows, p)
             g, s, f = gap[:k1 - k0], total[:k1 - k0], floor[:k1 - k0]
@@ -214,9 +227,16 @@ def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
             np.abs(np.subtract.outer(sig[k0:k1], sig, out=g), out=g)
             # modes of the two mirror blocks can agree to every bit
             np.maximum(g, np.multiply(s, _EPS, out=f), out=g)
-            g *= s
-            np.fill_diagonal(g[:, k0:k1], 1.0)
-            np.log(g, out=g).sum(axis=1, out=pos[k0:k1])
+            if in_range:
+                g *= s
+                np.fill_diagonal(g[:, k0:k1], 1.0)
+                np.log(g, out=g)
+            else:
+                np.fill_diagonal(g[:, k0:k1], 1.0)
+                np.fill_diagonal(s[:, k0:k1], 1.0)
+                np.log(g, out=g)
+                g += np.log(s, out=s)
+            g.sum(axis=1, out=pos[k0:k1])
         # |chi'(+-sigma_k)| = 2 sigma_k^(1+z) prod_{j != k} |sigma_k^2 - sigma_j^2|
         # and |chi'(0)| = prod_j sigma_j^2, for the spectrum in ascending order
         pos += np.log(2.0 * sig)

@@ -121,10 +121,15 @@ def one_shot_register_elements(omega, t):
     with np.errstate(all="ignore"):
         total = np.add.outer(sig, sig)
         gaps = np.maximum(np.abs(np.subtract.outer(sig, sig)), np.finfo(float).eps * total)
-        gaps *= total
         np.fill_diagonal(gaps, 1.0)
+        np.fill_diagonal(total, 1.0)
+        if (fidelity._TINY <= np.finfo(float).eps * (sig[0] + sig[1]) ** 2
+                and 2.0 * sig[-1] <= fidelity._ROOT_MAX):
+            log_gaps = np.log(gaps * total)
+        else:
+            log_gaps = np.log(gaps) + np.log(total)
         log_sig = np.log(sig)
-        half = np.log(gaps).sum(axis=1) + np.log(2.0 * sig) + z * log_sig
+        half = log_gaps.sum(axis=1) + np.log(2.0 * sig) + z * log_sig
         lam = np.concatenate([-sig[::-1], np.zeros(z), sig])
         log_chi = np.concatenate([half[::-1], np.full(z, 2.0 * log_sig.sum()), half])
         phases = np.exp(-1j * lam * t) * np.where((m - 1 - np.arange(m)) % 2, -1.0, 1.0)
@@ -180,6 +185,28 @@ def mpmath_fidelities(omega, t, dps=30):
                         - abs(d12) ** 2) / 6,
                 half + (2 * mpmath.re(d11 * d22 - d12 * d21) + abs(d11) ** 2
                         + abs(d12) ** 2) / 6)
+
+
+def high_precision_fidelities(omega, t, dps=200):
+    """(F_DFS, F_NDFS) of the chain at time t from mpmath's dense symmetric
+    eigensolver at `dps` digits.  Unlike `mpmath_fidelities` it needs no
+    float eigenvalue to start from, so it also holds where two modes agree
+    to every bit: a pair closer than the working precision then only shares
+    a phase that no t here can tell apart."""
+    with mpmath.workdps(dps):
+        m = omega.order
+        h = mpmath.zeros(m)
+        for i, x in enumerate(omega.bonds):
+            h[i, i + 1] = h[i + 1, i] = mpmath.mpf(float(x))
+        lams, vecs = mpmath.eigsy(h)
+        phases = [mpmath.expj(-lam * mpmath.mpf(float(t))) for lam in lams]
+
+        def element(i, j):
+            return complex(mpmath.fsum(vecs[i, k] * vecs[j, k] * phases[k] for k in range(m)))
+
+        e = RegisterElements(d_r1l1=element(m - 1, 0), d_r2l2=element(m - 2, 1),
+                             d_r1l2=element(m - 1, 1), d_r2l1=element(m - 2, 0))
+    return f_dfs(e), f_ndfs(e)
 
 
 def assert_bit_identical(fast, reference):
@@ -280,15 +307,47 @@ class TestRegisterElements:
             assert abs(f_dfs(fast) - f_dfs(dense)) <= 1e-10, ratio
             assert abs(f_ndfs(fast) - f_ndfs(dense)) <= 1e-10, ratio
 
+    @pytest.mark.parametrize("N,ratio", [(3, 1e40), (5, 1e40), (11, 1e40), (3, 1e150),
+                                         (5, 1e150), (11, 1e150), (5, 1e6), (11, 1e6),
+                                         (5, 1e10), (11, 1e10)])
+    def test_far_strong_coupling_matches_high_precision(self, N, ratio):
+        # the register modes of the two mirror blocks agree to every bit
+        # here, and the dsterf route gave nan at most of these points;
+        # largest |dF| measured: 1.3e-14 (N = 5, ratio 1e150)
+        spec = derive_parameters(2, N, 1.0, ratio)
+        omega = build_full_coupling_matrix(spec)
+        for t in (3.7, 37.0):
+            e = register_elements(omega, t)
+            reference = high_precision_fidelities(omega, t)
+            assert abs(f_dfs(e) - reference[0]) <= 1e-12, t
+            assert abs(f_ndfs(e) - reference[1]) <= 1e-12, t
+
     @pytest.mark.parametrize("N", [3, 101])
-    @pytest.mark.parametrize("ratio", [1e-12, 1e-40, 1e-150])
+    @pytest.mark.parametrize("ratio", [1e-12, 1e-40, 1e-150, 1e-153])
     def test_very_weak_coupling_transfers_perfectly(self, N, ratio):
         # a floor of eps times the largest mode, not times the pair's sum,
-        # swamps the register gaps here: it gave F = 0.5234 from ratio 1e-40
+        # swamps the register gaps here: it gave F = 0.5234 from ratio 1e-40.
+        # From 1e-150 on the pair products would be subnormal, so each gap
+        # is summed as two logs
         spec = derive_parameters(2, N, 1.0, ratio)
         e = register_elements(build_full_coupling_matrix(spec), spec.tau)
-        assert f_dfs(e) >= 1 - 1e-12
-        assert f_ndfs(e) >= 1 - 1e-12
+        assert abs(f_dfs(e) - 1.0) <= 1e-12
+        assert abs(f_ndfs(e) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("N", [1, 3, 101, 1001])
+    @pytest.mark.parametrize("ratio", [1e-3, 0.37, 3.0])
+    def test_two_log_gap_sums_match_the_product_form(self, monkeypatch, N, ratio):
+        # the form taken when a pair's product would leave the normal floats,
+        # forced here at points where both forms hold
+        spec = derive_parameters(2, N, 1.0, ratio)
+        omega = build_full_coupling_matrix(spec)
+        t = 0.71 * spec.tau
+        product = register_elements(omega, t)
+        monkeypatch.setattr(fidelity, "_TINY", np.inf)
+        two_logs = register_elements(omega, t)
+        for name in ELEMENT_NAMES:
+            assert abs(getattr(two_logs, name) - getattr(product, name)) <= 1e-13, name
+        assert_bit_identical(two_logs, one_shot_register_elements(omega, t))
 
     @settings(max_examples=60, deadline=None)
     @given(N=st.sampled_from([1, 3, 11, 101]),
@@ -448,6 +507,15 @@ class TestSweep:
         # lambda^2 overflows at a huge ratio, e^{-i lambda t} at an infinite t
         with pytest.raises(ValueError, match="non-finite result at N = 3"):
             sweep_fidelity(2, [3], [ratio], t_choice=t)
+
+    @pytest.mark.parametrize("N", [3, 101])
+    @pytest.mark.parametrize("ratio", [1e-160, 1e-200, 1e-300])
+    def test_rejects_point_whose_modes_square_below_the_floats(self, N, ratio):
+        # the register modes' lambda^2 underflows while their weights
+        # overflow, as lambda^2 overflows at 1e300: from about 1e-154 on,
+        # where the dsterf route stopped giving rows too
+        with pytest.raises(ValueError, match=f"non-finite result at N = {N}"):
+            sweep_fidelity(2, [N], [ratio])
 
     def test_full_model_approaches_closed_form_value(self):
         # gap between the full-model fidelity at tau and the effective
