@@ -73,8 +73,10 @@ _CHOICES = {"encoding": ("dfs", "ndfs", "both"), "format": ("csv", "json")}
 
 # Work budget of `sweep`: a point at channel length N takes O(N^2) time
 # (about 0.4 s at N = 10001 on a 2-core x86-64 host, in O(N) memory), and the
-# ratio grid is 8 bytes per step.  Larger inputs are a usage error, before
-# any work starts.
+# ratio grid is 8 bytes per step.  A grid of several ratios at the cap runs
+# two points at a time on that host: 2 ratios took 0.48 s instead of 0.88 s
+# serially, at a peak RSS of 64 MB instead of 61 MB.  Larger inputs are a
+# usage error, before any work starts.
 MAX_CHANNEL_LENGTH = 10001
 MAX_GRID_POINTS = 10 ** 5  # len(channel_lengths) * ratio_steps
 

@@ -20,6 +20,7 @@ module indexes into it; in particular R1 is always the *last* index.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -129,14 +130,20 @@ def _register_labels(n: int) -> tuple[list[str], list[str]]:
     return left, right
 
 
+# a sweep asks for the same chain's labels at every ratio; a few chain
+# lengths (under 1 MB of strings each at N = 10001) stay cached
+@functools.lru_cache(maxsize=8)
+def _full_chain_labels(n: int, N: int) -> tuple[str, ...]:
+    left, right = _register_labels(n)
+    return tuple(left + [f"c{i}" for i in range(1, N + 1)] + right)
+
+
 def build_full_coupling_matrix(spec: ChainSpec) -> CouplingMatrix:
     """(N+2n) x (N+2n) coupling matrix in the ordering [L1..Ln, c1..cN, Rn..R1]."""
     n, N = spec.n, spec.N
     reg = np.asarray(spec.g_u[:n - 1])
     off = np.concatenate([reg, [spec.g_I], np.full(N - 1, spec.g_C), [spec.g_I], reg[::-1]])
-    left, right = _register_labels(n)
-    labels = tuple(left + [f"c{i}" for i in range(1, N + 1)] + right)
-    return CouplingMatrix(bonds=off, site_labels=labels)
+    return CouplingMatrix(bonds=off, site_labels=_full_chain_labels(n, N))
 
 
 def build_effective_coupling_matrix(spec: ChainSpec) -> CouplingMatrix:

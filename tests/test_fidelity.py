@@ -1,4 +1,6 @@
 import ctypes
+import os
+import sys
 import threading
 import tracemalloc
 
@@ -10,6 +12,7 @@ from scipy.linalg import LinAlgError, eigh_tridiagonal
 from hypothesis import example, given, settings, strategies as st
 
 from dfsqst import fidelity
+from dfsqst.cli import _sweep_rows_text, main
 from dfsqst.model import (CouplingMatrix, derive_parameters, build_full_coupling_matrix,
                           build_effective_coupling_matrix)
 from dfsqst.propagator import (closed_form_effective_elements, eigendecompose,
@@ -398,6 +401,13 @@ class TestSpectrum:
     @example(bonds=build_effective_coupling_matrix(derive_parameters(2, 3, 1.0, 0.1)).bonds)
     @example(bonds=build_full_coupling_matrix(derive_parameters(2, 1001, 1.0, 1e-3)).bonds)
     @example(bonds=np.array([]))
+    # mirror-symmetric chains of even order, and of odd order whose odd block
+    # is one, with a mirror pair of modes 100 eps apart: dqds on the
+    # persymmetric bidiagonal returned both as their mean, 2.2x and 1.5x the
+    # bound off
+    @example(bonds=np.array([102.0, 1 / 64, 1.0, 1.0, 1.0, 1 / 64, 102.0]))
+    @example(bonds=np.array([102.0, 1 / 64, 1.0, 1.0, 1.0, 1 / 64, 102.0, 0.5,
+                             0.5, 102.0, 1 / 64, 1.0, 1.0, 1.0, 1 / 64, 102.0]))
     def test_matches_full_order_eigh_tridiagonal(self, bonds):
         m = len(bonds) + 1
         reference = eigh_tridiagonal(np.zeros(m), bonds, eigvals_only=True) if m > 1 else [0.0]
@@ -441,6 +451,156 @@ class TestSpectrum:
         assert fidelity._lapack_routine("dlasq1", fidelity._DLASQ1_SIGNATURE)
 
 
+# the shortest odd channel whose chain (N + 4 sites) reaches the pool gate
+GATE_N = (fidelity._POOL_MIN_ORDER - 4) | 1
+
+
+def record_point_threads(monkeypatch) -> list:
+    """Patch `_point_fidelities` to log the thread of each call; returns the log."""
+    point = fidelity._point_fidelities
+    threads = []
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        return point(*args)
+
+    monkeypatch.setattr(fidelity, "_point_fidelities", recorded)
+    return threads
+
+
+def element_bits(e: RegisterElements) -> tuple:
+    return tuple((complex(v).real.hex(), complex(v).imag.hex()) for v in vars(e).values())
+
+
+class TestSweepPool:
+    """A chain of `_POOL_MIN_ORDER` sites or more runs its ratios on pool
+    threads when there are two or more ratios and usable CPUs; every other
+    sweep runs in the calling thread, and both give the same rows."""
+
+    def test_points_below_the_gate_run_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(fidelity, "_usable_cpus", lambda: 2)
+        threads = record_point_threads(monkeypatch)
+        rows = sweep_fidelity(2, [3, GATE_N - 2], [0.01, 0.1, 0.5]).rows
+        assert len(rows) == 12
+        assert threads == [threading.current_thread()] * 6
+
+    def test_a_single_ratio_at_the_gate_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(fidelity, "_usable_cpus", lambda: 2)
+        threads = record_point_threads(monkeypatch)
+        sweep_fidelity(2, [GATE_N, 1001], [0.1])
+        assert threads == [threading.current_thread()] * 2
+
+    def test_one_cpu_runs_points_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(fidelity, "_usable_cpus", lambda: 1)
+        threads = record_point_threads(monkeypatch)
+        sweep_fidelity(2, [GATE_N], [0.01, 0.1, 0.5])
+        assert threads == [threading.current_thread()] * 3
+
+    def test_points_at_the_gate_run_on_pool_threads_in_grid_order(self, monkeypatch):
+        ratios = [0.5, 0.01, 0.1]
+        serial = sweep_fidelity(2, [GATE_N - 2, GATE_N], ratios).rows
+        monkeypatch.setattr(fidelity, "_usable_cpus", lambda: 2)
+        threads = record_point_threads(monkeypatch)
+        rows = sweep_fidelity(2, [GATE_N - 2, GATE_N], ratios).rows
+        here = threading.current_thread()
+        assert threads[:3] == [here] * 3
+        # at most min(CPUs, ratios) = 2 workers, none of them the caller
+        assert here not in threads[3:] and len(set(threads[3:])) <= 2
+        assert [(r.N, r.ratio, r.encoding) for r in rows] == [
+            (N, r, enc) for N in (GATE_N - 2, GATE_N) for r in (0.01, 0.1, 0.5)
+            for enc in ("dfs", "ndfs")]
+        assert rows == serial
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
+    def test_the_affinity_mask_decides(self, monkeypatch):
+        # under `taskset -c 0` this runs the one-CPU fallback on a real mask
+        cpus = len(os.sched_getaffinity(0))
+        assert fidelity._usable_cpus() == cpus
+        threads = record_point_threads(monkeypatch)
+        sweep_fidelity(2, [GATE_N], [0.01, 0.1, 0.5])
+        here = threading.current_thread()
+        if cpus == 1:
+            assert threads == [here] * 3
+        else:
+            assert here not in threads and len(set(threads)) <= min(cpus, 3)
+
+    @pytest.mark.parametrize("N", [1001, 10001])
+    def test_pooled_output_is_byte_identical_to_serial(self, monkeypatch, N):
+        ratios = default_ratio_grid(1e-3, 1.0, 3)
+        monkeypatch.setattr(fidelity, "_usable_cpus", lambda: 2)
+        threads = record_point_threads(monkeypatch)
+        pooled = sweep_fidelity(2, [N], ratios).rows
+        assert threading.current_thread() not in threads
+        monkeypatch.setattr(fidelity, "_POOL_MIN_ORDER", N + 5)
+        serial = sweep_fidelity(2, [N], ratios).rows
+        for fmt in ("csv", "json"):
+            assert _sweep_rows_text(pooled, fmt).encode() == _sweep_rows_text(serial, fmt).encode()
+
+    def test_register_elements_is_reentrant_across_threads(self):
+        # the pool runs the dqds binding and the gap sums of different chains
+        # at once; more threads than cores and a short switch interval make
+        # the calls interleave
+        specs = [derive_parameters(2, N, 1.0, r)
+                 for N, r in ((999, 1.0), (1001, 0.01), (1003, 0.3), (1501, 0.1))]
+        chains = [build_full_coupling_matrix(s) for s in specs]
+        expected = [element_bits(register_elements(c, s.tau)) for c, s in zip(chains, specs)]
+        workers = len(chains)
+        barrier = threading.Barrier(workers)
+        found = [[] for _ in range(workers)]
+        errors = []
+
+        def work(k):
+            try:
+                barrier.wait(timeout=30)
+                # each thread starts on its own chain, so calls run on
+                # different chains at once
+                for step in range(3 * workers):
+                    i = (k + step) % workers
+                    found[k].append((i, element_bits(register_elements(chains[i], specs[i].tau))))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert all(len(f) == 3 * workers for f in found)
+        assert all(bits == expected[i] for f in found for i, bits in f)
+
+    def test_a_failing_point_raises_the_serial_error(self, monkeypatch):
+        # both 1e300 and 1e305 overflow; the first in grid order is reported
+        ratios = [1e305, 0.1, 1e300]
+        monkeypatch.setattr(fidelity, "_usable_cpus", lambda: 2)
+        with pytest.raises(ValueError) as pooled:
+            sweep_fidelity(2, [1001], ratios)
+        monkeypatch.setattr(fidelity, "_POOL_MIN_ORDER", 10 ** 6)
+        with pytest.raises(ValueError) as serial:
+            sweep_fidelity(2, [1001], ratios)
+        assert str(pooled.value) == str(serial.value)
+        assert "at N = 1001, ratio = 1e+300," in str(pooled.value)
+
+    def test_a_failing_pooled_point_exits_1_without_output(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(fidelity, "_usable_cpus", lambda: 2)
+        threads = record_point_threads(monkeypatch)
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--channel-lengths", "1001", "--ratio-steps", "3",
+                   "--ratio-max", "1e300", "--output", str(out)])
+        assert rc == 1
+        assert threading.current_thread() not in threads
+        assert os.listdir(tmp_path) == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite result at N = 1001, ratio = 1e+300,")
+        assert err.count("\n") == 1
+
+
 class TestSweep:
     def test_weak_coupling_near_perfect(self):
         res = sweep_fidelity(2, [3], [1e-4], encodings=("dfs",))
@@ -459,21 +619,6 @@ class TestSweep:
                        (5, 0.1, "dfs"), (5, 0.1, "ndfs"),
                        (3, 0.01, "dfs"), (3, 0.01, "ndfs"),
                        (3, 0.1, "dfs"), (3, 0.1, "ndfs")]
-
-    def test_points_run_on_the_calling_thread(self, monkeypatch):
-        # the largest chain has 497 + 4 = 501 sites, which took a thread pool
-        # before the sweep became one serial map
-        point = fidelity._point_fidelities
-        threads = []
-
-        def recorded(*args):
-            threads.append(threading.current_thread())
-            return point(*args)
-
-        monkeypatch.setattr(fidelity, "_point_fidelities", recorded)
-        rows = sweep_fidelity(2, [497], [0.01, 0.1]).rows
-        assert len(rows) == 4
-        assert threads == [threading.main_thread()] * 2
 
     @settings(max_examples=60, deadline=None)
     @given(N=st.integers(0, 10).map(lambda k: 2 * k + 1),
