@@ -166,15 +166,14 @@ class RegisterElements:
 def extract_register_elements(prop: Propagator) -> RegisterElements:
     """Pick out Delta_{R1,L1}, Delta_{R2,L2}, Delta_{R1,L2}, Delta_{R2,L1}.
 
-    Site indices come from the labels fixed in the model module; R1 is the
-    last index, L1 the first.
+    The sites are found by position in the model's ordering: L1, L2 first,
+    R2, R1 last.
     """
-    src = prop.source
-    l1, l2 = src.index_of("L1"), src.index_of("L2")
-    r1, r2 = src.index_of("R1"), src.index_of("R2")
+    if prop.source.n < 2:
+        raise ValueError("register_elements needs the sites L1, L2, ..., R2, R1")
     d = prop.entries
-    return RegisterElements(d_r1l1=d[r1, l1], d_r2l2=d[r2, l2],
-                            d_r1l2=d[r1, l2], d_r2l1=d[r2, l1])
+    return RegisterElements(d_r1l1=d[-1, 0], d_r2l2=d[-2, 1],
+                            d_r1l2=d[-1, 1], d_r2l1=d[-2, 0])
 
 
 def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
@@ -211,12 +210,12 @@ def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
     gets its own log instead, so no gap loses digits as a subnormal or drops
     a mode as an overflow.  The p^2 = M^2/4 products are taken in row blocks
     of at most `_GAP_CELLS` cells, so the scratch memory is O(M).
-    Requires the labels L1, L2 at the start and R2, R1 at the end and no
-    zero bond (which would make eigenvalues degenerate); the diagonal is
-    zero because a `CouplingMatrix` has none.  Where the sums leave the float
+    Requires registers of at least two sites (L1, L2 first, R2, R1 last)
+    and no zero bond (which would make eigenvalues degenerate); the diagonal
+    is zero because a `CouplingMatrix` has none.  Where the sums leave the float
     range the elements come out inf or nan, silently; callers check.
     """
-    if omega.site_labels[:2] != ("L1", "L2") or omega.site_labels[-2:] != ("R2", "R1"):
+    if omega.n < 2:
         raise ValueError("register_elements needs the sites L1, L2, ..., R2, R1")
     b = omega.bonds
     if not b.all():

@@ -13,14 +13,14 @@ weak-coupling effective matrix equal to g0 * Jx for a pseudo spin J = n,
 which is what produces mirror inversion at tau = pi / g0.
 
 Every coupling matrix here is real symmetric tridiagonal with zero
-diagonal, so `CouplingMatrix` stores just its M - 1 bonds.  The site
-ordering [L1..Ln, c1..cN, Rn..R1] is fixed once here and every other
-module indexes into it; in particular R1 is always the *last* index.
+diagonal, so `CouplingMatrix` stores just its M - 1 bonds and the register
+size n.  The site ordering [L1..Ln, c1..cN, Rn..R1] is fixed once here and
+every other module finds the registers by position in it: L1, L2 are sites
+0, 1 and R2, R1 sites M - 2, M - 1.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -35,7 +35,6 @@ __all__ = [
     "build_effective_coupling_matrix",
     "channel_spectrum",
     "mode_couplings",
-    "jx_matrix",
 ]
 
 
@@ -58,33 +57,21 @@ class ChainSpec:
     g_u: tuple[float, ...]  # intraregister couplings, u = 1..n
     tau: float          # transfer time, pi / g0
 
-    @property
-    def total_sites(self) -> int:
-        return 2 * self.n + self.N
-
-    @property
-    def kappa_parity(self) -> int:
-        """(-1)**(kappa-1), the sign absorbed into the right-end mode."""
-        return -1 if (self.kappa - 1) % 2 else 1
-
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Zero-diagonal tridiagonal matrix; bonds[k] couples site_labels[k] and [k+1]."""
+    """Zero-diagonal tridiagonal matrix; bonds[k] couples sites k and k + 1.
+
+    The first n sites are the left register L1..Ln and the last n the right
+    register Rn..R1, so L1 is site 0 and R1 site M - 1.
+    """
 
     bonds: np.ndarray
-    site_labels: tuple[str, ...]
+    n: int  # register sites at each end
 
     @property
     def order(self) -> int:
         return len(self.bonds) + 1
-
-    def dense(self) -> np.ndarray:
-        """The M x M symmetric matrix, for checks against dense linear algebra."""
-        return np.diag(self.bonds, 1) + np.diag(self.bonds, -1)
-
-    def index_of(self, label: str) -> int:
-        return self.site_labels.index(label)
 
 
 def _is_int(x) -> bool:
@@ -124,26 +111,12 @@ def derive_parameters(n: int, N: int, g_C: float, g_I: float) -> ChainSpec:
                      t_kappa=t_kappa, g0=g0, g_u=g_u, tau=tau)
 
 
-def _register_labels(n: int) -> tuple[list[str], list[str]]:
-    left = [f"L{u}" for u in range(1, n + 1)]
-    right = [f"R{u}" for u in range(n, 0, -1)]
-    return left, right
-
-
-# a sweep asks for the same chain's labels at every ratio; a few chain
-# lengths (under 1 MB of strings each at N = 10001) stay cached
-@functools.lru_cache(maxsize=8)
-def _full_chain_labels(n: int, N: int) -> tuple[str, ...]:
-    left, right = _register_labels(n)
-    return tuple(left + [f"c{i}" for i in range(1, N + 1)] + right)
-
-
 def build_full_coupling_matrix(spec: ChainSpec) -> CouplingMatrix:
     """(N+2n) x (N+2n) coupling matrix in the ordering [L1..Ln, c1..cN, Rn..R1]."""
     n, N = spec.n, spec.N
     reg = np.asarray(spec.g_u[:n - 1])
     off = np.concatenate([reg, [spec.g_I], np.full(N - 1, spec.g_C), [spec.g_I], reg[::-1]])
-    return CouplingMatrix(bonds=off, site_labels=_full_chain_labels(n, N))
+    return CouplingMatrix(bonds=off, n=n)
 
 
 def build_effective_coupling_matrix(spec: ChainSpec) -> CouplingMatrix:
@@ -154,9 +127,7 @@ def build_effective_coupling_matrix(spec: ChainSpec) -> CouplingMatrix:
     n = spec.n
     reg = np.asarray(spec.g_u[:n - 1])
     off = np.concatenate([reg, [spec.t_kappa, spec.t_kappa], reg[::-1]])
-    left, right = _register_labels(n)
-    labels = tuple(left + ["kappa"] + right)
-    return CouplingMatrix(bonds=off, site_labels=labels)
+    return CouplingMatrix(bonds=off, n=n)
 
 
 def channel_spectrum(spec: ChainSpec) -> np.ndarray:
@@ -170,13 +141,3 @@ def mode_couplings(spec: ChainSpec) -> np.ndarray:
     k = np.arange(1, spec.N + 1)
     return spec.g_I * np.sqrt(2.0 / (spec.N + 1)) * np.sin(k * np.pi / (spec.N + 1))
 
-
-def jx_matrix(n: int) -> np.ndarray:
-    """Angular-momentum x-matrix for J = n, dimension 2n+1.
-
-    Superdiagonal element m -> m+1 is (1/2) sqrt(J(J+1) - m(m+1)) with
-    m = -J..J-1.
-    """
-    m = np.arange(-n, n)
-    off = 0.5 * np.sqrt(n * (n + 1) - m * (m + 1))
-    return np.diag(off, 1) + np.diag(off, -1)

@@ -13,11 +13,10 @@ step (``_evolve_basis``) evolves basis states at any t: each lies in one
 sector and one half of it, so its column needs a row of U or W and two
 real GEMMs in that sector alone (sector L - m reuses the SVD of sector m),
 written straight into the caller's row order.  Only the decomposition is
-independent of the input; neither part forms the 2^L x 2^L matrix.
-``spin_hamiltonian_from_coupling`` and ``evolve_state``, a full-matrix
-eigendecomposition, are kept as the dense reference that the core is
-tested against.  The oracle is used to validate, by brute force, what
-the free-fermion engine claims:
+independent of the input; neither part forms the 2^L x 2^L matrix.  The
+dense reference the core is tested against, the full Hamiltonian and its
+eigendecomposition, lives with the tests.  The oracle is used to
+validate, by brute force, what the free-fermion engine claims:
 
 * the single-excitation block of the many-body XX Hamiltonian equals the
   single-particle coupling matrix (Jordan-Wigner consistency),
@@ -60,8 +59,6 @@ from .model import ChainSpec, CouplingMatrix, derive_parameters, \
 __all__ = [
     "MAX_SITES",
     "DephasingModel",
-    "build_spin_hamiltonian",
-    "evolve_state",
     "jw_phase_prediction",
     "phase_table",
     "PhaseRow",
@@ -121,40 +118,6 @@ def _coupling_for(spec: ChainSpec, which: str) -> CouplingMatrix:
     if omega.order > MAX_SITES:
         raise ValueError(f"{omega.order} sites exceeds the oracle cap of {MAX_SITES}")
     return omega
-
-
-def build_spin_hamiltonian(spec: ChainSpec, which: str = "full") -> np.ndarray:
-    """Dense many-body XX Hamiltonian, H = sum_bonds g (s+ s- + s- s+)."""
-    omega = _coupling_for(spec, which)
-    return spin_hamiltonian_from_coupling(omega)
-
-
-def spin_hamiltonian_from_coupling(omega: CouplingMatrix) -> np.ndarray:
-    """Many-body Hamiltonian whose single-excitation block is omega.
-
-    Each bond becomes an XX hop between neighbouring spins; a longer-range
-    hop, which a `CouplingMatrix` cannot hold, would need explicit
-    Jordan-Wigner strings in spin language.
-    """
-    L = omega.order
-    if L > MAX_SITES:
-        raise ValueError(f"{L} sites exceeds the oracle cap of {MAX_SITES}")
-    dim = 1 << L
-    H = np.zeros((dim, dim))
-    s = np.arange(dim)
-    for b, g in enumerate(omega.bonds):
-        bi = (s >> b) & 1
-        bj = (s >> (b + 1)) & 1
-        hop = s[bi != bj]
-        H[hop ^ (1 << b) ^ (1 << (b + 1)), hop] += g
-    return H
-
-
-def evolve_state(H: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iHt) psi via full Hermitian eigendecomposition (dense reference);
-    psi is one state or a matrix whose columns are states."""
-    w, V = np.linalg.eigh(H)
-    return (V * np.exp(-1j * w * t)) @ (V.conj().T @ psi)
 
 
 @functools.lru_cache(maxsize=None)

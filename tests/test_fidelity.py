@@ -104,11 +104,11 @@ def dense_register_elements(omega, t):
 
 
 def scale_register_bonds(omega, left, right):
-    """omega (n = 2) with its left and right intraregister bonds scaled."""
+    """omega with its L1-L2 and R2-R1 bonds scaled."""
     bonds = omega.bonds.copy()
     bonds[0] *= left
     bonds[-1] *= right
-    return CouplingMatrix(bonds=bonds, site_labels=omega.site_labels)
+    return CouplingMatrix(bonds=bonds, n=omega.n)
 
 
 def one_shot_register_elements(omega, t):
@@ -225,15 +225,18 @@ bond_factors = st.floats(-2.0, 2.0).filter(lambda f: abs(f) >= 0.05)
 
 class TestRegisterElements:
     @settings(max_examples=80, deadline=None)
-    @given(N=st.integers(0, 100).map(lambda k: 2 * k + 1),
+    @given(n=st.sampled_from([2, 3]),
+           N=st.integers(0, 100).map(lambda k: 2 * k + 1),
            log_ratio=st.floats(-3.0, 0.0),
            t_frac=st.floats(0.0, 2.0),
            scale=st.none() | st.tuples(bond_factors, bond_factors))
-    @example(N=1001, log_ratio=-3.0, t_frac=1.0, scale=None)
-    @example(N=1001, log_ratio=-1.7, t_frac=0.37, scale=(-0.8, 1.3))
-    @example(N=1001, log_ratio=0.0, t_frac=1.9, scale=(0.4, -1.7))
-    def test_matches_dense_propagator(self, N, log_ratio, t_frac, scale):
-        spec = derive_parameters(2, N, 1.0, 10.0 ** log_ratio)
+    @example(n=2, N=1001, log_ratio=-3.0, t_frac=1.0, scale=None)
+    @example(n=2, N=1001, log_ratio=-1.7, t_frac=0.37, scale=(-0.8, 1.3))
+    @example(n=2, N=1001, log_ratio=0.0, t_frac=1.9, scale=(0.4, -1.7))
+    def test_matches_dense_propagator(self, n, N, log_ratio, t_frac, scale):
+        # the registers are found by position, so n = 3 chains give the
+        # corner elements too
+        spec = derive_parameters(n, N, 1.0, 10.0 ** log_ratio)
         omega = build_full_coupling_matrix(spec)
         if scale is not None:
             omega = scale_register_bonds(omega, *scale)
@@ -364,14 +367,17 @@ class TestRegisterElements:
         spec = derive_parameters(2, N, 1.0, 10.0 ** log_ratio)
         omega = build_full_coupling_matrix(spec)
         s = 10.0 ** log_scale
-        scaled = CouplingMatrix(bonds=s * omega.bonds, site_labels=omega.site_labels)
+        scaled = CouplingMatrix(bonds=s * omega.bonds, n=omega.n)
         e, e_scaled = register_elements(omega, spec.tau), register_elements(scaled, spec.tau / s)
         assert abs(f_dfs(e_scaled) - f_dfs(e)) <= 1e-10
         assert abs(f_ndfs(e_scaled) - f_ndfs(e)) <= 1e-10
 
     def test_rejects_inputs_outside_the_formula(self):
+        single = build_full_coupling_matrix(derive_parameters(1, 3, 1.0, 0.1))
         with pytest.raises(ValueError, match="L1, L2"):
-            register_elements(build_full_coupling_matrix(derive_parameters(1, 3, 1.0, 0.1)), 1.0)
+            register_elements(single, 1.0)
+        with pytest.raises(ValueError, match="L1, L2"):
+            dense_register_elements(single, 1.0)
         omega = build_full_coupling_matrix(derive_parameters(2, 3, 1.0, 0.1))
         with pytest.raises(ValueError, match="nonzero"):
             register_elements(scale_register_bonds(omega, 0.0, 1.0), 1.0)

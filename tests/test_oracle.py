@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,15 +11,16 @@ from dfsqst.model import (CouplingMatrix, derive_parameters,
 from dfsqst.propagator import eigendecompose, propagator_at
 from dfsqst.fidelity import extract_register_elements, f_dfs, f_ndfs, register_elements
 from dfsqst.oracle import (MAX_SITES, DephasingModel,
-                           build_spin_hamiltonian, spin_hamiltonian_from_coupling,
-                           evolve_state, jw_phase_prediction, phase_table,
+                           jw_phase_prediction, phase_table,
                            average_fidelity_bruteforce, dephasing_protection_report,
                            REMAINING_SUBSPACES,
                            _evolve_basis, _sector_svds, _codec)
+from dense_reference import (build_spin_hamiltonian, dense, evolve_state,
+                             spin_hamiltonian_from_coupling, total_sites)
 
 
 def single_bond(g):
-    return CouplingMatrix(bonds=np.array([g]), site_labels=("a", "b"))
+    return CouplingMatrix(bonds=np.array([g]), n=1)
 
 
 def total_sz_operator(L):
@@ -37,7 +39,7 @@ class TestSpinHamiltonian:
     def test_conserves_total_sz(self, n, N):
         spec = derive_parameters(n, N, 1.0, 0.3)
         H = build_spin_hamiltonian(spec, "full")
-        Sz = total_sz_operator(spec.total_sites)
+        Sz = total_sz_operator(total_sites(spec))
         assert np.max(np.abs(H @ Sz - Sz @ H)) <= 1e-12
 
     @pytest.mark.parametrize("which", ["full", "effective"])
@@ -50,7 +52,7 @@ class TestSpinHamiltonian:
         L = omega.order
         idx = [1 << k for k in range(L)]
         block = H[np.ix_(idx, idx)]
-        np.testing.assert_allclose(block, omega.dense(), atol=1e-14)
+        np.testing.assert_allclose(block, dense(omega), atol=1e-14)
 
     def test_size_cap(self):
         spec = derive_parameters(2, 11, 1.0, 0.1)  # 15 sites
@@ -88,7 +90,7 @@ class TestEvolveState:
         rng = np.random.default_rng(23)
         spec = derive_parameters(1, 3, 1.0, 0.4)
         H = build_spin_hamiltonian(spec, "full")
-        L = spec.total_sites
+        L = total_sites(spec)
         pop = np.array([bin(s).count("1") for s in range(1 << L)])
         for _ in range(5):
             psi = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
@@ -119,8 +121,7 @@ class TestEvolveState:
 
 
 def chain(offdiag):
-    return CouplingMatrix(bonds=np.asarray(offdiag),
-                          site_labels=tuple(map(str, range(len(offdiag) + 1))))
+    return CouplingMatrix(bonds=np.asarray(offdiag), n=1)
 
 
 class TestSectorEvolve:
@@ -142,13 +143,13 @@ class TestSectorEvolve:
         bonds[k[0]] = -abs(bonds[k[0]])
         if L > 2:
             bonds[k[1]] = 0.0
-        dense = evolve_state(spin_hamiltonian_from_coupling(chain(bonds)), np.eye(1 << L), t)
+        ref = evolve_state(spin_hamiltonian_from_coupling(chain(bonds)), np.eye(1 << L), t)
         middle = np.flatnonzero(oracle._popcounts(L) == L // 2)
         starts = np.concatenate((rng.permutation(1 << L)[:12], rng.permutation(middle)[:8]))
         starts = rng.permutation(np.concatenate((starts, starts[:5])))
         rows = rng.permutation(1 << L)
         out = _evolve_basis(bonds, starts, t, rows)
-        np.testing.assert_allclose(out[rows], dense[:, starts], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out[rows], ref[:, starts], rtol=0, atol=1e-12)
 
     def test_decomposition_does_not_depend_on_the_input(self, monkeypatch):
         # the first call on a chain decomposes the chiral blocks of sectors
@@ -198,8 +199,8 @@ class TestSectorEvolve:
             L = len(b) + 1
             starts = rng.integers(0, 1 << L, 4)
             out = _evolve_basis(b, starts, 2.3)
-            dense = evolve_state(spin_hamiltonian_from_coupling(chain(b)), np.eye(1 << L), 2.3)
-            np.testing.assert_allclose(out, dense[:, starts], rtol=0, atol=1e-12)
+            ref = evolve_state(spin_hamiltonian_from_coupling(chain(b)), np.eye(1 << L), 2.3)
+            np.testing.assert_allclose(out, ref[:, starts], rtol=0, atol=1e-12)
         assert _sector_svds.cache_info().misses == 3
 
     @pytest.mark.parametrize("encoding", ["dfs", "ndfs"])
@@ -223,15 +224,28 @@ class TestSectorEvolve:
         only, _ = oracle._run_pipeline(bonds, encoding, 0.7 * spec.tau, [c], lams)
         np.testing.assert_array_equal(only, full)
 
-    def test_pipeline_builds_no_dense_hamiltonian(self, monkeypatch):
-        # the oracle entry points evolve through the sector blocks only
-        def dense(omega):
-            raise AssertionError("dense 2^L x 2^L Hamiltonian built")
-        monkeypatch.setattr(oracle, "spin_hamiltonian_from_coupling", dense)
-        spec = derive_parameters(2, 3, 1.0, 0.2)
+    def test_pipeline_builds_no_dense_hamiltonian(self):
+        # the oracle entry points evolve through the sector blocks only: at
+        # L = 11 one dense 2^L x 2^L float64 matrix is 8 * 4^L bytes (32 MB),
+        # and each entry point, its SVDs included, peaks well below that
+        # (1.8, 11.5 and 15.4 MB measured), whatever a dense H would be named
+        spec = derive_parameters(2, 7, 1.0, 0.2)
+        L = 11
         deph = DephasingModel(sigma_lambda=0.5 / spec.tau, samples=10, seed=1)
-        assert average_fidelity_bruteforce(spec, "dfs", spec.tau, deph=deph) > 0.9
-        assert dephasing_protection_report(spec, deph, spec.tau).dfs_passed
+        runs = (lambda: average_fidelity_bruteforce(spec, "dfs", spec.tau, channel_init=0b1011001),
+                lambda: average_fidelity_bruteforce(spec, "dfs", spec.tau, deph=deph),
+                lambda: dephasing_protection_report(spec, deph, spec.tau, which="full"))
+        results = []
+        for run in runs:
+            _sector_svds.cache_clear()
+            tracemalloc.start()
+            try:
+                results.append(run())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 4 ** L
+        assert results[0] > 0.9 and results[1] > 0.9 and results[2].dfs_passed
         assert all(r.match for r in phase_table(2))
 
     def test_size_cap_on_pipeline_entry_points(self):
