@@ -26,11 +26,11 @@ import tempfile
 import numpy as np
 
 from .model import derive_parameters
-from .propagator import (MIRROR_TOL, closed_form_effective_elements, eigendecompose,
-                         mirror_inversion_report, propagator_at)
+from .propagator import (MIRROR_TOL, closed_form_effective_elements, dense_register_elements,
+                         eigendecompose, mirror_inversion_error, propagator_at)
 from .model import build_effective_coupling_matrix, build_full_coupling_matrix
-from .fidelity import (RegisterElements, default_ratio_grid, extract_register_elements,
-                       f_dfs, f_ndfs, register_elements, sweep_fidelity)
+from .fidelity import (RegisterElements, default_ratio_grid, f_dfs, f_ndfs,
+                       register_elements, sweep_fidelity)
 from . import oracle as orc
 
 __all__ = ["RunConfig", "parse_config", "run_sweep", "run_verify",
@@ -273,8 +273,7 @@ def _verify_checks(cfg: RunConfig):
                        "pass": bool(max_error <= tolerance)})
 
     # mirror inversion, n = 1..4
-    err = max(mirror_inversion_report(derive_parameters(nn, 3, 1.0, 0.1)).max_error
-              for nn in (1, 2, 3, 4))
+    err = max(mirror_inversion_error(derive_parameters(nn, 3, 1.0, 0.1)) for nn in (1, 2, 3, 4))
     add("mirror_inversion", err, MIRROR_TOL * scale)
 
     # the sweep engine's elements against the closed form, n = 2 effective
@@ -298,11 +297,10 @@ def _verify_checks(cfg: RunConfig):
                                1.0, float(rng.uniform(0.01, 1.0)))
         omega = build_full_coupling_matrix(sp)
         t = float(rng.uniform(0, 2 * sp.tau))
-        prop = propagator_at(eigendecompose(omega), t)
-        d = prop.entries
+        d = propagator_at(eigendecompose(omega), t)
         err = max(err, float(np.max(np.abs(d.conj().T @ d - np.eye(len(d))))))
         if sp.n == 2:
-            fast, dense = register_elements(omega, t), extract_register_elements(prop)
+            fast, dense = register_elements(omega, t), dense_register_elements(omega, t)
             err = max(err, *(abs(a - b) for a, b in zip(vars(fast).values(),
                                                          vars(dense).values())))
     add("unitarity", err, 1e-10 * scale)

@@ -16,9 +16,10 @@ ambiguity of the right-end mode.
 
 The sweep engine needs only those four elements of the full-chain
 propagator, and gets them from the eigenvalues alone (`register_elements`,
-the residue formula for a Jacobi matrix); the dense propagator is the
-reference it is tested against.  The mirror-symmetric chain is solved as its
-even and odd halves.  Each half has a zero diagonal, so its spectrum is
+the residue formula for a Jacobi matrix).  The dense propagator in
+`propagator` is the reference it is tested against; that module imports
+this one, never the other way round.  The mirror-symmetric chain is solved
+as its even and odd halves.  Each half has a zero diagonal, so its spectrum is
 +-sigma (and one zero at odd order), where sigma are the singular values of
 a bidiagonal of half its order, found by LAPACK's dqds (`dlasq1`) to high
 relative accuracy.  The log-gap sums then run over the positive half
@@ -47,12 +48,10 @@ import numpy as np
 import scipy
 from scipy.linalg import cython_lapack, eigvalsh_tridiagonal
 
-from .model import CouplingMatrix, derive_parameters, build_full_coupling_matrix
-from .propagator import Propagator
+from .model import ChainSpec, CouplingMatrix, derive_parameters, build_full_coupling_matrix
 
 __all__ = [
     "RegisterElements",
-    "extract_register_elements",
     "register_elements",
     "f_dfs",
     "f_ndfs",
@@ -161,19 +160,6 @@ class RegisterElements:
     d_r2l2: complex
     d_r1l2: complex
     d_r2l1: complex
-
-
-def extract_register_elements(prop: Propagator) -> RegisterElements:
-    """Pick out Delta_{R1,L1}, Delta_{R2,L2}, Delta_{R1,L2}, Delta_{R2,L1}.
-
-    The sites are found by position in the model's ordering: L1, L2 first,
-    R2, R1 last.
-    """
-    if prop.source.n < 2:
-        raise ValueError("register_elements needs the sites L1, L2, ..., R2, R1")
-    d = prop.entries
-    return RegisterElements(d_r1l1=d[-1, 0], d_r2l2=d[-2, 1],
-                            d_r1l2=d[-1, 1], d_r2l1=d[-2, 0])
 
 
 def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
@@ -326,9 +312,8 @@ def default_ratio_grid(lo: float = 1e-3, hi: float = 1.0, steps: int = 40,
     return np.array([float(f"{r:.14e}") for r in grid])
 
 
-def _point_fidelities(n: int, N: int, ratio: float, t_choice,
-                      encodings: tuple[str, ...]) -> list[SweepRow]:
-    spec = derive_parameters(n=n, N=N, g_C=1.0, g_I=ratio)
+def _point_fidelities(spec: ChainSpec, t_choice, encodings: tuple[str, ...]) -> list[SweepRow]:
+    n, N, ratio = spec.n, spec.N, spec.g_I
     t = float(spec.tau) if t_choice == "tau" else float(t_choice)
     elems = register_elements(build_full_coupling_matrix(spec), t)
     fids = [f_dfs(elems) if enc == "dfs" else f_ndfs(elems) for enc in encodings]
@@ -379,23 +364,23 @@ def sweep_fidelity(n: int, N_list, ratio_grid, t_choice="tau",
     ratios = sorted(float(r) for r in ratio_grid)
     if not N_list or not ratios:
         raise ValueError("empty sweep grid")
-    for N in N_list:
-        if N % 2 == 0:
-            raise ValueError(f"channel length must be odd, got {N}")
     for enc in encodings:
         if enc not in ("dfs", "ndfs"):
             raise ValueError(f"unknown encoding {enc!r}")
+    # every point's parameters first, so that derive_parameters refuses a bad
+    # channel length or ratio before any point runs
+    chains = [[derive_parameters(n, N, 1.0, r) for r in ratios] for N in N_list]
+
+    def point(spec: ChainSpec) -> list[SweepRow]:
+        return _point_fidelities(spec, t_choice, encodings)
 
     workers = min(_usable_cpus(), len(ratios))
     rows = []
-    for N in N_list:
-        def point(ratio: float) -> list[SweepRow]:
-            return _point_fidelities(n, N, ratio, t_choice, encodings)
-
-        if workers > 1 and N + 2 * n >= _POOL_MIN_ORDER:
+    for specs in chains:
+        if workers > 1 and specs[0].N + 2 * n >= _POOL_MIN_ORDER:
             # map yields in grid order; a failing point cancels the ones not started
             with ThreadPoolExecutor(workers) as pool:
-                rows.extend(row for point_rows in pool.map(point, ratios) for row in point_rows)
+                rows.extend(row for point_rows in pool.map(point, specs) for row in point_rows)
         else:
-            rows.extend(row for r in ratios for row in point(r))
+            rows.extend(row for spec in specs for row in point(spec))
     return SweepResult(rows=tuple(rows))

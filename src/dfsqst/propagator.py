@@ -1,56 +1,38 @@
-"""Single-particle propagator Delta(t) = exp(-i Omega t) via spectral decomposition.
+"""Dense single-particle propagator Delta(t) = exp(-i Omega t): the reference
+the sweep engine (`fidelity.register_elements`) is tested against.
 
 Every coupling matrix in this project is symmetric tridiagonal, so the
 eigenproblem goes through LAPACK's dedicated tridiagonal solver
 (scipy.linalg.eigh_tridiagonal); the propagator then follows from
 Delta = V exp(-i lambda t) V^T.  Because Omega is real symmetric the
-resulting Delta is complex symmetric and unitary.
+resulting Delta is complex symmetric and unitary.  Everything here takes
+and returns plain arrays; `dense_register_elements` picks the four n = 2
+register elements out of Delta.
 
 Also provided: the n = 2 weak-coupling closed forms for the three register
-matrix elements, and the mirror-inversion check Delta_eff(tau) = (-1)^n E
-(E the antidiagonal exchange matrix).
+matrix elements, and the mirror-inversion error of Delta_eff(tau) against
+(-1)^n E (E the antidiagonal exchange matrix).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .fidelity import RegisterElements
 from .model import ChainSpec, CouplingMatrix, build_effective_coupling_matrix
 
 __all__ = [
-    "SpectralDecomposition",
-    "Propagator",
     "eigendecompose",
     "propagator_at",
+    "dense_register_elements",
     "closed_form_effective_elements",
-    "mirror_inversion_report",
-    "MirrorInversionReport",
+    "mirror_inversion_error",
 ]
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a coupling matrix."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    source: CouplingMatrix
-
-
-@dataclass(frozen=True)
-class Propagator:
-    """Unitary evolution matrix Delta(t) with its source and time."""
-
-    t: float
-    entries: np.ndarray
-    source: CouplingMatrix
-
-
-def eigendecompose(omega: CouplingMatrix) -> SpectralDecomposition:
-    """Full spectral decomposition, eigenvalues ascending.
+def eigendecompose(omega: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v): the eigenvalues, ascending, and the orthonormal eigenvectors as columns.
 
     Solves the zero-diagonal tridiagonal problem straight from the bonds a
     `CouplingMatrix` stores; no dense matrix is formed.  Raises ValueError
@@ -60,15 +42,26 @@ def eigendecompose(omega: CouplingMatrix) -> SpectralDecomposition:
     """
     if not np.all(np.isfinite(omega.bonds)):
         raise ValueError("coupling matrix has non-finite bonds")
-    w, v = eigh_tridiagonal(np.zeros(omega.order), omega.bonds)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v, source=omega)
+    return eigh_tridiagonal(np.zeros(omega.order), omega.bonds)
 
 
-def propagator_at(decomp: SpectralDecomposition, t: float) -> Propagator:
-    """Delta(t) = V exp(-i lambda t) V^T."""
-    v = decomp.eigenvectors
-    phases = np.exp(-1j * decomp.eigenvalues * t)
-    return Propagator(t=t, entries=(v * phases) @ v.T, source=decomp.source)
+def propagator_at(decomp: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
+    """Delta(t) = V exp(-i lambda t) V^T from `eigendecompose`'s (w, v)."""
+    w, v = decomp
+    return (v * np.exp(-1j * w * t)) @ v.T
+
+
+def dense_register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
+    """Delta_{R1,L1}, Delta_{R2,L2}, Delta_{R1,L2}, Delta_{R2,L1} of the dense Delta(t).
+
+    The sites are found by position in the model's ordering: L1, L2 first,
+    R2, R1 last.
+    """
+    if omega.n < 2:
+        raise ValueError("register_elements needs the sites L1, L2, ..., R2, R1")
+    d = propagator_at(eigendecompose(omega), t)
+    return RegisterElements(d_r1l1=d[-1, 0], d_r2l2=d[-2, 1],
+                            d_r1l2=d[-1, 1], d_r2l1=d[-2, 0])
 
 
 def closed_form_effective_elements(g0: float, t: float) -> tuple[complex, complex, complex]:
@@ -85,18 +78,9 @@ def closed_form_effective_elements(g0: float, t: float) -> tuple[complex, comple
 MIRROR_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class MirrorInversionReport:
-    n: int
-    tau: float
-    max_error: float
-    passed: bool
-
-
-def mirror_inversion_report(spec: ChainSpec) -> MirrorInversionReport:
-    """Check Delta_eff(tau) = (-1)^n E with E the antidiagonal exchange matrix."""
+def mirror_inversion_error(spec: ChainSpec) -> float:
+    """Largest entry of |Delta_eff(tau) - (-1)^n E|, E the antidiagonal exchange matrix."""
     omega = build_effective_coupling_matrix(spec)
-    delta = propagator_at(eigendecompose(omega), spec.tau).entries
+    delta = propagator_at(eigendecompose(omega), spec.tau)
     exchange = np.fliplr(np.eye(omega.order))
-    err = float(np.max(np.abs(delta - (-1) ** spec.n * exchange)))
-    return MirrorInversionReport(n=spec.n, tau=spec.tau, max_error=err, passed=err <= MIRROR_TOL)
+    return float(np.max(np.abs(delta - (-1) ** spec.n * exchange)))

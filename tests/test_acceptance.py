@@ -13,9 +13,9 @@ from dfsqst.model import (derive_parameters, build_full_coupling_matrix,
                           build_effective_coupling_matrix)
 from dfsqst.propagator import (eigendecompose, propagator_at,
                                closed_form_effective_elements,
-                               mirror_inversion_report)
-from dfsqst.fidelity import (RegisterElements, extract_register_elements,
-                             f_dfs, f_ndfs, sweep_fidelity, default_ratio_grid)
+                               dense_register_elements, mirror_inversion_error)
+from dfsqst.fidelity import (RegisterElements, f_dfs, f_ndfs, sweep_fidelity,
+                             default_ratio_grid)
 from dfsqst.oracle import (REMAINING_SUBSPACES, DephasingModel, phase_table,
                            average_fidelity_bruteforce,
                            dephasing_protection_report)
@@ -41,10 +41,11 @@ def test_criterion_1_closed_form_match():
     dec = eigendecompose(build_effective_coupling_matrix(spec))
     err = 0.0
     for t in np.linspace(0.0, 2 * spec.tau, 1000):
-        e = extract_register_elements(propagator_at(dec, t))
+        d = propagator_at(dec, t)
         c11, c22, c12 = closed_form_effective_elements(spec.g0, t)
-        err = max(err, abs(e.d_r1l1 - c11), abs(e.d_r2l2 - c22),
-                  abs(e.d_r1l2 - c12))
+        # Delta_R1L1, Delta_R2L2 and Delta_R1L2: R1, R2 are the last two sites
+        err = max(err, abs(d[-1, 0] - c11), abs(d[-2, 1] - c22),
+                  abs(d[-1, 1] - c12))
     _report(1, "closed-form propagator match", err <= 1e-10,
             f"max err {err:.2e} <= 1e-10 over 1000 times",
             time.perf_counter() - t0, 1.0)
@@ -52,8 +53,7 @@ def test_criterion_1_closed_form_match():
 
 def test_criterion_2_mirror_inversion():
     t0 = time.perf_counter()
-    err = max(mirror_inversion_report(derive_parameters(n, 5, 1.0, 0.2)).max_error
-              for n in (1, 2, 3, 4))
+    err = max(mirror_inversion_error(derive_parameters(n, 5, 1.0, 0.2)) for n in (1, 2, 3, 4))
     _report(2, "mirror inversion at tau", err <= 1e-10,
             f"max |elementwise dev| {err:.2e} <= 1e-10 for n in 1..4",
             time.perf_counter() - t0, 1.0)
@@ -62,9 +62,9 @@ def test_criterion_2_mirror_inversion():
 def test_criterion_3_perfect_transfer_fidelity():
     t0 = time.perf_counter()
     spec = derive_parameters(2, 3, 1.0, 0.1)
-    dec = eigendecompose(build_effective_coupling_matrix(spec))
-    e_tau = extract_register_elements(propagator_at(dec, spec.tau))
-    e_zero = extract_register_elements(propagator_at(dec, 0.0))
+    omega = build_effective_coupling_matrix(spec)
+    e_tau = dense_register_elements(omega, spec.tau)
+    e_zero = dense_register_elements(omega, 0.0)
     err_tau = max(abs(f_dfs(e_tau) - 1.0), abs(f_ndfs(e_tau) - 1.0))
     err_zero = max(abs(f_dfs(e_zero) - 0.5), abs(f_ndfs(e_zero) - 0.5))
     _report(3, "perfect-transfer fidelity", err_tau <= 1e-10 and err_zero <= 1e-12,
@@ -92,11 +92,11 @@ def test_criterion_4_weak_coupling_sweep():
 def test_criterion_5_oracle_equivalence():
     t0 = time.perf_counter()
     spec = derive_parameters(2, 3, 1.0, 0.2)
-    dec = eigendecompose(build_full_coupling_matrix(spec))
+    omega = build_full_coupling_matrix(spec)
     rng = np.random.default_rng(7)
     err = 0.0
     for t in rng.uniform(0.0, 2 * spec.tau, 10):
-        e = extract_register_elements(propagator_at(dec, float(t)))
+        e = dense_register_elements(omega, float(t))
         err = max(err,
                   abs(f_dfs(e) - average_fidelity_bruteforce(spec, "dfs", float(t))),
                   abs(f_ndfs(e) - average_fidelity_bruteforce(spec, "ndfs", float(t))))
@@ -167,9 +167,9 @@ def test_criterion_9_structural_invariants():
         omega = build_full_coupling_matrix(spec)
         dec = eigendecompose(omega)
         t1, t2 = rng.uniform(0.0, 2 * spec.tau, 2)
-        p1 = propagator_at(dec, float(t1)).entries
-        p2 = propagator_at(dec, float(t2)).entries
-        p12 = propagator_at(dec, float(t1 + t2)).entries
+        p1 = propagator_at(dec, float(t1))
+        p2 = propagator_at(dec, float(t2))
+        p12 = propagator_at(dec, float(t1 + t2))
         eye = np.eye(omega.order)
         uni = max(uni, float(np.max(np.abs(p1.conj().T @ p1 - eye))))
         comp = max(comp, float(np.max(np.abs(p1 @ p2 - p12))))

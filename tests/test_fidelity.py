@@ -15,11 +15,9 @@ from dfsqst import fidelity
 from dfsqst.cli import _sweep_rows_text, main
 from dfsqst.model import (CouplingMatrix, derive_parameters, build_full_coupling_matrix,
                           build_effective_coupling_matrix)
-from dfsqst.propagator import (closed_form_effective_elements, eigendecompose,
-                               propagator_at)
-from dfsqst.fidelity import (RegisterElements, extract_register_elements,
-                             register_elements, f_dfs, f_ndfs, sweep_fidelity,
-                             default_ratio_grid)
+from dfsqst.propagator import closed_form_effective_elements, dense_register_elements
+from dfsqst.fidelity import (RegisterElements, register_elements, f_dfs, f_ndfs,
+                             sweep_fidelity, default_ratio_grid)
 
 ELEMENT_NAMES = ("d_r1l1", "d_r2l2", "d_r1l2", "d_r2l1")
 
@@ -93,14 +91,10 @@ class TestFidelityFormulas:
         for _ in range(25):
             spec = derive_parameters(2, int(rng.choice([3, 5, 21])),
                                      1.0, float(rng.uniform(0.01, 1.0)))
-            dec = eigendecompose(build_full_coupling_matrix(spec))
-            e = extract_register_elements(propagator_at(dec, float(rng.uniform(0, 3 * spec.tau))))
+            e = dense_register_elements(build_full_coupling_matrix(spec),
+                                        float(rng.uniform(0, 3 * spec.tau)))
             for f in (f_dfs(e), f_ndfs(e)):
                 assert -1e-9 <= f <= 1 + 1e-9
-
-
-def dense_register_elements(omega, t):
-    return extract_register_elements(propagator_at(eigendecompose(omega), t))
 
 
 def scale_register_bonds(omega, left, right):
@@ -645,6 +639,17 @@ class TestSweep:
             sweep_fidelity(2, [4], [0.1])
         with pytest.raises(ValueError):
             sweep_fidelity(2, [3], [0.1], encodings=("bogus",))
+
+    @pytest.mark.parametrize("N_list,ratios,message", [
+        ([3, 5.0], [0.1], "channel length"), ([3, -1], [0.1], "channel length"),
+        ([3, True], [0.1], "channel length"), ([3], [0.1, np.nan], "couplings"),
+        ([3], [0.1, np.inf], "couplings")])
+    def test_checks_the_grid_before_any_point_runs(self, monkeypatch, N_list, ratios, message):
+        # the N = 3, ratio 0.1 point is valid, and must not run either
+        threads = record_point_threads(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            sweep_fidelity(2, N_list, ratios)
+        assert threads == []
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_rejects_register_size_other_than_2(self, n):

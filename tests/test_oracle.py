@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from dfsqst import oracle
 from dfsqst.model import (CouplingMatrix, derive_parameters,
                           build_full_coupling_matrix, build_effective_coupling_matrix)
-from dfsqst.propagator import eigendecompose, propagator_at
-from dfsqst.fidelity import extract_register_elements, f_dfs, f_ndfs, register_elements
+from dfsqst.propagator import dense_register_elements, eigendecompose, propagator_at
+from dfsqst.fidelity import f_dfs, f_ndfs, register_elements
 from dfsqst.oracle import (MAX_SITES, DephasingModel,
                            jw_phase_prediction, phase_table,
                            average_fidelity_bruteforce, dephasing_protection_report,
@@ -110,7 +110,7 @@ class TestEvolveState:
             omega = build_full_coupling_matrix(spec)
             H = spin_hamiltonian_from_coupling(omega)
             t = float(rng.uniform(0, 2 * spec.tau))
-            delta = propagator_at(eigendecompose(omega), t).entries
+            delta = propagator_at(eigendecompose(omega), t)
             L = omega.order
             for j in range(L):
                 psi = np.zeros(1 << L, dtype=complex)
@@ -547,10 +547,10 @@ class TestBruteForceFidelity:
 
     def test_matches_formulas_at_random_times(self):
         spec = derive_parameters(2, 3, 1.0, 0.25)
-        dec = eigendecompose(build_full_coupling_matrix(spec))
+        omega = build_full_coupling_matrix(spec)
         rng = np.random.default_rng(13)
         for t in rng.uniform(0, 2 * spec.tau, 3):
-            e = extract_register_elements(propagator_at(dec, float(t)))
+            e = dense_register_elements(omega, float(t))
             assert abs(f_dfs(e) - average_fidelity_bruteforce(spec, "dfs", float(t))) <= 1e-8
             assert abs(f_ndfs(e) - average_fidelity_bruteforce(spec, "ndfs", float(t))) <= 1e-8
 
