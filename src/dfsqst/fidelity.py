@@ -28,11 +28,18 @@ gap floored at eps times the pair's sum so that modes of the two halves
 that agree to every bit stay finite.  A gap is one product of two factors
 while every such product is a normal float, and the sum of their two logs
 at weak coupling or extreme scales.  The engine evaluates the elements over
-a grid of coupling ratios, by default at t = tau.  A chain of at least
-`_POOL_MIN_ORDER` sites runs its ratios on a thread pool of one worker per
-usable CPU, since the dqds call and the gap sums release the GIL; shorter
-chains, single-ratio grids and one-CPU processes run one point after another
-in the calling thread.
+a grid of coupling ratios, by default at t = tau.  The ratios of one
+channel length run as stacks of chains of the same order M
+(`_register_stack`): each chain still gets its own dqds calls and its own
+choice of gap form, but the gap sums, phases and weights of the whole stack
+are one set of array operations.  A stack holds as many chains as fit
+their whole gap matrices into one block of `_GAP_CELLS` cells, so the
+scratch memory stays O(M), and a chain gets the same bits in any stack;
+`register_elements` is the stack of one.  A chain of at least
+`_POOL_MIN_ORDER` sites, whose stacks are single points, runs its ratios on
+a thread pool of one worker per usable CPU, since the dqds call and the gap
+sums release the GIL; shorter chains, single-ratio grids and one-CPU
+processes run one stack after another in the calling thread.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ import numpy as np
 import scipy
 from scipy.linalg import cython_lapack, eigvalsh_tridiagonal
 
-from .model import ChainSpec, CouplingMatrix, derive_parameters, build_full_coupling_matrix
+from .model import ChainSpec, CouplingMatrix, _is_real, build_full_bonds, derive_parameters
 
 __all__ = [
     "RegisterElements",
@@ -135,9 +142,8 @@ def _spectrum(b: np.ndarray) -> np.ndarray:
     an absolute error of about eps times the largest bond: dqds on the whole
     chain's persymmetric bidiagonal returned two mirror modes 100 eps apart
     as their mean, off by more than that.  The sweep's chains have odd
-    order, and their odd blocks are not mirror-symmetric."""
-    if not np.isfinite(b).all():
-        raise ValueError("the bonds must be finite")
+    order, and their odd blocks are not mirror-symmetric.  The bonds must be
+    finite, which `_register_stack` checks once for a whole stack."""
     c = len(b) // 2
     if not c or (b != b[::-1]).any():
         return _singular_values(b)
@@ -199,73 +205,118 @@ def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
     Requires registers of at least two sites (L1, L2 first, R2, R1 last)
     and no zero bond (which would make eigenvalues degenerate); the diagonal
     is zero because a `CouplingMatrix` has none.  Where the sums leave the float
-    range the elements come out inf or nan, silently; callers check.
+    range the elements come out inf or nan, silently; callers check.  This
+    is `_register_stack` on a stack of one chain.
     """
     if omega.n < 2:
         raise ValueError("register_elements needs the sites L1, L2, ..., R2, R1")
-    b = omega.bonds
-    if not b.all():
-        raise ValueError("register_elements needs every bond nonzero")
-    m = omega.order
-    sig = _spectrum(b)
-    p, z = len(sig), m - 2 * len(sig)
+    e = _register_stack(omega.bonds[None], np.array([t], dtype=float))[0]
+    return RegisterElements(e[0], e[1], e[2], e[3])
+
+
+def _stack_size(m: int) -> int:
+    """How many chains of order m one stack holds: as many as fill one gap
+    block of `_GAP_CELLS` cells with whole p x p gap matrices, p = m // 2,
+    and at least one."""
+    return max(1, _GAP_CELLS // (m // 2) ** 2)
+
+
+def _register_stack(b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The register elements of R chains of one order M at once, as the
+    rows (d_r1l1, d_r2l2, d_r1l2, d_r2l1) of an (R, 4) array: bonds b of
+    shape (R, M - 1), chain i at time t[i].  See `register_elements` for the
+    formula.  Each chain gets its own spectrum and its own choice of gap
+    form, and every row of gap logs is summed whole, so a chain's elements
+    are the same bits in any stack.  The gap matrices of all R chains are
+    taken a block of the same rows of each chain at a time, at most
+    `_GAP_CELLS` cells a block while one row of every chain fits, so a stack
+    of more than one chain should be sized by `_stack_size`."""
+    r, m = b.shape[0], b.shape[1] + 1
+    p = m // 2
+    z = m - 2 * p
     # at extreme couplings or times the sums overflow: the caller gets a
     # non-finite element rather than a warning
     with np.errstate(all="ignore"):
+        # log |b| is finite where a bond is neither zero nor inf nor nan, and
+        # then their sum is too: each term lies within about +-745
+        log_b = np.log(np.abs(b))
+        if not np.isfinite(np.add.reduce(log_b, axis=None)):
+            raise ValueError("register_elements needs every bond nonzero" if not b.all()
+                             else "the bonds must be finite")
+        sig = np.empty((r, p))
+        fit = []
+        for i in range(r):
+            sig[i] = half = _spectrum(b[i])
+            # past that range a subnormal product would lose digits, and an
+            # overflowed one would drop a mode from the sums
+            fit.append(_TINY <= _EPS * (half[0] + half[1]) ** 2 and 2.0 * half[-1] <= _ROOT_MAX)
+        mixed = not all(fit)
+        if mixed:
+            fit = np.array(fit)[:, None, None]
         # log |chi'(lambda_k)| for ascending lambda, the positive half `pos`
-        # first: sum_{j != k} log |sigma_k^2 - sigma_j^2|, one block of rows at
-        # a time; each row is still summed whole, so the blocking changes no bit
-        log_chi = np.empty(m)
-        pos = log_chi[m - p:]
-        rows = max(1, _GAP_CELLS // p)
-        gap, total, floor = np.empty((3, min(rows, p), p))
-        # past that range a subnormal product would lose digits, and an
-        # overflowed one would drop a mode from the sums
-        in_range = _TINY <= _EPS * (sig[0] + sig[1]) ** 2 and 2.0 * sig[-1] <= _ROOT_MAX
+        # last: sum_{j != k} log |sigma_k^2 - sigma_j^2|, one block of rows of
+        # every chain at a time
+        log_chi = np.empty((r, m))
+        pos = log_chi[:, m - p:]
+        rows = max(1, min(p, _GAP_CELLS // (r * p)))
+        blocks = np.empty(3 * r * rows * p)
+        right = sig[:, None, :]
         for k0 in range(0, p, rows):
             k1 = min(k0 + rows, p)
-            g, s, f = gap[:k1 - k0], total[:k1 - k0], floor[:k1 - k0]
-            np.add.outer(sig[k0:k1], sig, out=s)
-            np.abs(np.subtract.outer(sig[k0:k1], sig, out=g), out=g)
+            g, s, f = blocks[:3 * r * (k1 - k0) * p].reshape(3, r, k1 - k0, p)
+            # sigma_k along each row first: numpy runs a broadcast whose
+            # inner axis has stride 0 about 3x slower than this copy and
+            # two row-broadcast steps
+            np.copyto(s, sig[:, k0:k1, None])
+            np.subtract(s, right, out=g)
+            s += right
+            np.abs(g, out=g)
             # modes of the two mirror blocks can agree to every bit
             np.maximum(g, np.multiply(s, _EPS, out=f), out=g)
-            if in_range:
-                g *= s
-                np.fill_diagonal(g[:, k0:k1], 1.0)
-                np.log(g, out=g)
+            if mixed:
+                np.multiply(g, s, out=g, where=fit)
             else:
-                np.fill_diagonal(g[:, k0:k1], 1.0)
-                np.fill_diagonal(s[:, k0:k1], 1.0)
-                np.log(g, out=g)
-                g += np.log(s, out=s)
-            g.sum(axis=1, out=pos[k0:k1])
+                g *= s
+            # the diagonal, k = j: entries k0 + i (p + 1) of each chain's rows
+            g.reshape(r, -1)[:, k0::p + 1] = 1.0
+            np.log(g, out=g)
+            if mixed:
+                s.reshape(r, -1)[:, k0::p + 1] = 1.0
+                np.add(g, np.log(s, out=s), out=g, where=~fit)
+            np.add.reduce(g, axis=2, out=pos[:, k0:k1])
         # |chi'(+-sigma_k)| = 2 sigma_k^(1+z) prod_{j != k} |sigma_k^2 - sigma_j^2|
         # and |chi'(0)| = prod_j sigma_j^2, for the spectrum in ascending order
         pos += np.log(2.0 * sig)
         if z:
             log_sig = np.log(sig)
             pos += log_sig
-            log_chi[p] = 2.0 * log_sig.sum()
-        log_chi[:p] = pos[::-1]
-        lam = np.zeros(m)
-        lam[:p], lam[m - p:] = -sig[::-1], sig
+            log_chi[:, p] = 2.0 * np.add.reduce(log_sig, axis=1)
+        log_chi[:, :p] = pos[:, ::-1]
+        lam = np.zeros((r, m))
+        lam[:, :p], lam[:, m - p:] = -sig[:, ::-1], sig
         # e^{-i lambda_k t} times the sign (-1)^(M-1-k) of chi'(lambda_k)
         sign = np.ones(m)
         sign[m - 2::-2] = -1.0
-        phases = np.exp(-1j * lam * t) * sign
-        log_b, sign_b = np.log(np.abs(b)), np.sign(b)
-
-        def element(first: int, stop: int, power: int) -> complex:
-            # bonds b[first:stop] (0-based) times lambda^power
-            weights = np.exp(log_b[first:stop].sum() - log_chi)
-            if power:
-                weights *= lam ** power
-            return sign_b[first:stop].prod() * (weights @ phases)
-
+        phases = np.exp(-1j * lam * t[:, None]) * sign
         # Delta_{R1,L1} = Delta_{1,M}, Delta_{R2,L2} = Delta_{2,M-1},
-        # Delta_{R1,L2} = Delta_{2,M}, Delta_{R2,L1} = Delta_{1,M-1}
-        return RegisterElements(d_r1l1=element(0, m - 1, 0), d_r2l2=element(1, m - 2, 2),
-                                d_r1l2=element(1, m - 1, 1), d_r2l1=element(0, m - 2, 1))
+        # Delta_{R1,L2} = Delta_{2,M}, Delta_{R2,L1} = Delta_{1,M-1}: bonds
+        # b[first:stop] (0-based) times lambda^0, lambda^2, lambda, lambda
+        log_bonds = np.empty((r, 4, 1))
+        for k, (first, stop) in enumerate(((0, m - 1), (1, m - 2), (1, m - 1), (0, m - 2))):
+            np.add.reduce(log_b[:, first:stop], axis=1, out=log_bonds[:, k, 0])
+        weights = np.exp(log_bonds - log_chi[:, None])
+        weights[:, 1] *= np.square(lam)
+        weights[:, 2:] *= lam[:, None]
+        # the signs of those bond products, 1 unless a bond is negative, and
+        # exact in any order: the prefix product up to the bond before
+        # `stop`, times b[0]'s where first = 1
+        signs = 1.0
+        if np.count_nonzero(b < 0):
+            prefix = np.cumprod(np.sign(b), axis=1)
+            signs = prefix[:, [m - 2, m - 3, m - 2, m - 3]]
+            signs[:, 1:3] *= prefix[:, :1]
+        # one vector dot per element, as for a single chain
+        return signs * np.matmul(weights[:, :, None], phases[:, None, :, None])[:, :, 0, 0]
 
 
 def f_dfs(e: RegisterElements) -> float:
@@ -312,19 +363,25 @@ def default_ratio_grid(lo: float = 1e-3, hi: float = 1.0, steps: int = 40,
     return np.array([float(f"{r:.14e}") for r in grid])
 
 
-def _point_fidelities(spec: ChainSpec, t_choice, encodings: tuple[str, ...]) -> list[SweepRow]:
-    n, N, ratio = spec.n, spec.N, spec.g_I
-    t = float(spec.tau) if t_choice == "tau" else float(t_choice)
-    elems = register_elements(build_full_coupling_matrix(spec), t)
-    fids = [f_dfs(elems) if enc == "dfs" else f_ndfs(elems) for enc in encodings]
-    # extreme ratios or times overflow the spectral sums
-    if not all(map(cmath.isfinite, (*vars(elems).values(), *fids))):
-        raise ValueError(f"non-finite result at N = {N}, ratio = {ratio!r}, t = {t!r}")
-    # a fidelity is at most 1, but rounding can put the formula a few ulps
-    # above it (up to 1 + 2.7e-15 seen at N = 1); only the rows are clipped,
-    # so f_dfs/f_ndfs still show a sign error on non-unitary elements
-    return [SweepRow(N=N, n=n, ratio=ratio, t=t, encoding=enc, fidelity=min(max(f, 0.0), 1.0))
-            for enc, f in zip(encodings, fids)]
+def _point_fidelities(specs: list[ChainSpec], t_choice,
+                      encodings: tuple[str, ...]) -> list[SweepRow]:
+    """The rows of a stack of grid points that share N, in grid order: one
+    `_register_stack` call for their elements, then each point's checks."""
+    ts = [float(spec.tau) if t_choice == "tau" else float(t_choice) for spec in specs]
+    stack = _register_stack(build_full_bonds(specs), np.array(ts))
+    rows = []
+    for spec, t, e in zip(specs, ts, stack):
+        elems = RegisterElements(e[0], e[1], e[2], e[3])
+        fids = [f_dfs(elems) if enc == "dfs" else f_ndfs(elems) for enc in encodings]
+        # extreme ratios or times overflow the spectral sums
+        if not all(map(cmath.isfinite, (*vars(elems).values(), *fids))):
+            raise ValueError(f"non-finite result at N = {spec.N}, ratio = {spec.g_I!r}, t = {t!r}")
+        # a fidelity is at most 1, but rounding can put the formula a few ulps
+        # above it (up to 1 + 2.7e-15 seen at N = 1); only the rows are clipped,
+        # so f_dfs/f_ndfs still show a sign error on non-unitary elements
+        rows.extend(SweepRow(N=spec.N, n=spec.n, ratio=spec.g_I, t=t, encoding=enc,
+                             fidelity=min(max(f, 0.0), 1.0)) for enc, f in zip(encodings, fids))
+    return rows
 
 
 # chains of at least this many sites (N + 4) run their ratios on a thread
@@ -350,18 +407,28 @@ def sweep_fidelity(n: int, N_list, ratio_grid, t_choice="tau",
     """Fidelity over the (N, ratio) grid at g_C = 1.
 
     Row order is deterministic: N outer, ratio inner ascending, dfs before
-    ndfs.  The grid is checked before any point runs.  The ratios of a chain
-    with at least `_POOL_MIN_ORDER` sites run on a thread pool of one worker
-    per usable CPU (at most one per ratio), opened and closed within the
-    call; shorter chains, a single ratio or a single CPU run serially in the
-    calling thread.  Either way each point is computed alike, so the rows
-    are the same bits.  Only two-qubit registers (n = 2) are supported: the
-    fidelity formulas and `register_elements` are the n = 2 ones.
+    ndfs.  The grid is checked before any point runs; a ratio must be a
+    real number and not a bool, as `derive_parameters` asks of g_I.  The
+    ratios of each channel length run in grid order as stacks of up to
+    `_stack_size(N + 2n)` points, one `_point_fidelities` task a stack,
+    whose elements come from one `_register_stack` call.  The stacks of a
+    chain with at least `_POOL_MIN_ORDER` sites (one point each) run on a
+    thread pool of one worker per usable CPU (at most one per ratio),
+    opened and closed within the call; shorter chains, a single ratio or a
+    single CPU run serially in the calling thread.  Either way each point
+    gets the same bits, and of the points whose result is not finite the
+    first in grid order is the one reported.
+    Only two-qubit registers (n = 2) are supported: the fidelity formulas
+    and `register_elements` are the n = 2 ones.
     """
     if n != 2:
         raise ValueError(f"the sweep evaluates the n = 2 fidelity formulas, got n = {n}")
-    N_list = list(N_list)
-    ratios = sorted(float(r) for r in ratio_grid)
+    N_list, ratios = list(N_list), list(ratio_grid)
+    for r in ratios:
+        # derive_parameters' rule: float() alone would pass True as 1.0
+        if not _is_real(r):
+            raise ValueError(f"ratios must be real numbers, got {r!r}")
+    ratios = sorted(map(float, ratios))
     if not N_list or not ratios:
         raise ValueError("empty sweep grid")
     for enc in encodings:
@@ -371,16 +438,19 @@ def sweep_fidelity(n: int, N_list, ratio_grid, t_choice="tau",
     # channel length or ratio before any point runs
     chains = [[derive_parameters(n, N, 1.0, r) for r in ratios] for N in N_list]
 
-    def point(spec: ChainSpec) -> list[SweepRow]:
-        return _point_fidelities(spec, t_choice, encodings)
+    def task(stack: list[ChainSpec]) -> list[SweepRow]:
+        return _point_fidelities(stack, t_choice, encodings)
 
     workers = min(_usable_cpus(), len(ratios))
     rows = []
     for specs in chains:
-        if workers > 1 and specs[0].N + 2 * n >= _POOL_MIN_ORDER:
+        m = specs[0].N + 2 * n
+        size = _stack_size(m)
+        stacks = [specs[k:k + size] for k in range(0, len(specs), size)]
+        if workers > 1 and m >= _POOL_MIN_ORDER:
             # map yields in grid order; a failing point cancels the ones not started
             with ThreadPoolExecutor(workers) as pool:
-                rows.extend(row for point_rows in pool.map(point, specs) for row in point_rows)
+                rows.extend(row for stack_rows in pool.map(task, stacks) for row in stack_rows)
         else:
-            rows.extend(row for spec in specs for row in point(spec))
+            rows.extend(row for stack in stacks for row in task(stack))
     return SweepResult(rows=tuple(rows))

@@ -32,6 +32,7 @@ __all__ = [
     "CouplingMatrix",
     "derive_parameters",
     "build_full_coupling_matrix",
+    "build_full_bonds",
     "build_effective_coupling_matrix",
     "channel_spectrum",
     "mode_couplings",
@@ -113,10 +114,18 @@ def derive_parameters(n: int, N: int, g_C: float, g_I: float) -> ChainSpec:
 
 def build_full_coupling_matrix(spec: ChainSpec) -> CouplingMatrix:
     """(N+2n) x (N+2n) coupling matrix in the ordering [L1..Ln, c1..cN, Rn..R1]."""
-    n, N = spec.n, spec.N
-    reg = np.asarray(spec.g_u[:n - 1])
-    off = np.concatenate([reg, [spec.g_I], np.full(N - 1, spec.g_C), [spec.g_I], reg[::-1]])
-    return CouplingMatrix(bonds=off, n=n)
+    return CouplingMatrix(bonds=build_full_bonds([spec])[0], n=spec.n)
+
+
+def build_full_bonds(specs) -> np.ndarray:
+    """The bonds of the full chains of `specs`, which share n and N, one
+    chain a row: [g_1..g_(n-1), g_I, g_C (N - 1 times), g_I, g_(n-1)..g_1]."""
+    n, N = specs[0].n, specs[0].N
+    ends = []
+    for spec in specs:
+        reg = spec.g_u[:n - 1]
+        ends.append((*reg, spec.g_I, spec.g_C, spec.g_I, *reg[::-1]))
+    return np.repeat(np.array(ends, dtype=float), [1] * n + [N - 1] + [1] * n, axis=1)
 
 
 def build_effective_coupling_matrix(spec: ChainSpec) -> CouplingMatrix:

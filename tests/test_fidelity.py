@@ -1,4 +1,5 @@
 import ctypes
+import math
 import os
 import sys
 import threading
@@ -13,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from dfsqst import fidelity
 from dfsqst.cli import _sweep_rows_text, main
-from dfsqst.model import (CouplingMatrix, derive_parameters, build_full_coupling_matrix,
-                          build_effective_coupling_matrix)
+from dfsqst.model import (CouplingMatrix, derive_parameters, build_full_bonds,
+                          build_full_coupling_matrix, build_effective_coupling_matrix)
 from dfsqst.propagator import closed_form_effective_elements, dense_register_elements
 from dfsqst.fidelity import (RegisterElements, register_elements, f_dfs, f_ndfs,
                              sweep_fidelity, default_ratio_grid)
@@ -382,6 +383,20 @@ class TestRegisterElements:
                 register_elements(scale_register_bonds(omega, bad, bad), 1.0)
 
 
+def record_dlasq1_orders(monkeypatch) -> list:
+    """Patch the dqds binding to log the order of each bidiagonal it solves;
+    returns the log."""
+    orders = []
+    dlasq1 = fidelity._dlasq1
+
+    def recorded(n, d, e, work, info):
+        orders.append(ctypes.c_int.from_address(n).value)
+        dlasq1(n, d, e, work, info)
+
+    monkeypatch.setattr(fidelity, "_dlasq1", recorded)
+    return orders
+
+
 signed_bonds = st.floats(-1e3, 1e3).filter(lambda b: abs(b) >= 1e-3)
 
 
@@ -416,14 +431,7 @@ class TestSpectrum:
                                    atol=8 * np.sqrt(m) * np.finfo(float).eps * scale)
 
     def test_mirror_symmetric_chain_is_solved_in_two_halves(self, monkeypatch):
-        orders = []
-        dlasq1 = fidelity._dlasq1
-
-        def recorded(n, d, e, work, info):
-            orders.append(ctypes.c_int.from_address(n).value)
-            dlasq1(n, d, e, work, info)
-
-        monkeypatch.setattr(fidelity, "_dlasq1", recorded)
+        orders = record_dlasq1_orders(monkeypatch)
         spec = derive_parameters(2, 1001, 1.0, 0.03)
         omega = build_full_coupling_matrix(spec)
         register_elements(omega, spec.tau)
@@ -455,17 +463,24 @@ class TestSpectrum:
 GATE_N = (fidelity._POOL_MIN_ORDER - 4) | 1
 
 
-def record_point_threads(monkeypatch) -> list:
-    """Patch `_point_fidelities` to log the thread of each call; returns the log."""
-    point = fidelity._point_fidelities
-    threads = []
+def record_stack_calls(monkeypatch) -> list:
+    """Patch `_point_fidelities`, the sweep's task for one stack of points of
+    a channel length, to log (thread, points in the stack) for each call;
+    returns the log."""
+    task = fidelity._point_fidelities
+    calls = []
 
-    def recorded(*args):
-        threads.append(threading.current_thread())
-        return point(*args)
+    def recorded(specs, *args):
+        calls.append((threading.current_thread(), len(specs)))
+        return task(specs, *args)
 
     monkeypatch.setattr(fidelity, "_point_fidelities", recorded)
-    return threads
+    return calls
+
+
+def point_threads(calls) -> list:
+    """The thread of each point, in call order, from a `record_stack_calls` log."""
+    return [thread for thread, points in calls for _ in range(points)]
 
 
 def element_bits(e: RegisterElements) -> tuple:
@@ -479,29 +494,30 @@ class TestSweepPool:
 
     def test_points_below_the_gate_run_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(fidelity, "_usable_cpus", lambda: 2)
-        threads = record_point_threads(monkeypatch)
+        calls = record_stack_calls(monkeypatch)
         rows = sweep_fidelity(2, [3, GATE_N - 2], [0.01, 0.1, 0.5]).rows
         assert len(rows) == 12
-        assert threads == [threading.current_thread()] * 6
+        assert point_threads(calls) == [threading.current_thread()] * 6
 
     def test_a_single_ratio_at_the_gate_runs_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(fidelity, "_usable_cpus", lambda: 2)
-        threads = record_point_threads(monkeypatch)
+        calls = record_stack_calls(monkeypatch)
         sweep_fidelity(2, [GATE_N, 1001], [0.1])
-        assert threads == [threading.current_thread()] * 2
+        assert point_threads(calls) == [threading.current_thread()] * 2
 
     def test_one_cpu_runs_points_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(fidelity, "_usable_cpus", lambda: 1)
-        threads = record_point_threads(monkeypatch)
+        calls = record_stack_calls(monkeypatch)
         sweep_fidelity(2, [GATE_N], [0.01, 0.1, 0.5])
-        assert threads == [threading.current_thread()] * 3
+        assert point_threads(calls) == [threading.current_thread()] * 3
 
     def test_points_at_the_gate_run_on_pool_threads_in_grid_order(self, monkeypatch):
         ratios = [0.5, 0.01, 0.1]
         serial = sweep_fidelity(2, [GATE_N - 2, GATE_N], ratios).rows
         monkeypatch.setattr(fidelity, "_usable_cpus", lambda: 2)
-        threads = record_point_threads(monkeypatch)
+        calls = record_stack_calls(monkeypatch)
         rows = sweep_fidelity(2, [GATE_N - 2, GATE_N], ratios).rows
+        threads = point_threads(calls)
         here = threading.current_thread()
         assert threads[:3] == [here] * 3
         # at most min(CPUs, ratios) = 2 workers, none of them the caller
@@ -516,8 +532,9 @@ class TestSweepPool:
         # under `taskset -c 0` this runs the one-CPU fallback on a real mask
         cpus = len(os.sched_getaffinity(0))
         assert fidelity._usable_cpus() == cpus
-        threads = record_point_threads(monkeypatch)
+        calls = record_stack_calls(monkeypatch)
         sweep_fidelity(2, [GATE_N], [0.01, 0.1, 0.5])
+        threads = point_threads(calls)
         here = threading.current_thread()
         if cpus == 1:
             assert threads == [here] * 3
@@ -528,9 +545,9 @@ class TestSweepPool:
     def test_pooled_output_is_byte_identical_to_serial(self, monkeypatch, N):
         ratios = default_ratio_grid(1e-3, 1.0, 3)
         monkeypatch.setattr(fidelity, "_usable_cpus", lambda: 2)
-        threads = record_point_threads(monkeypatch)
+        calls = record_stack_calls(monkeypatch)
         pooled = sweep_fidelity(2, [N], ratios).rows
-        assert threading.current_thread() not in threads
+        assert threading.current_thread() not in point_threads(calls)
         monkeypatch.setattr(fidelity, "_POOL_MIN_ORDER", N + 5)
         serial = sweep_fidelity(2, [N], ratios).rows
         for fmt in ("csv", "json"):
@@ -589,16 +606,99 @@ class TestSweepPool:
 
     def test_a_failing_pooled_point_exits_1_without_output(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(fidelity, "_usable_cpus", lambda: 2)
-        threads = record_point_threads(monkeypatch)
+        calls = record_stack_calls(monkeypatch)
         out = tmp_path / "s.csv"
         rc = main(["sweep", "--channel-lengths", "1001", "--ratio-steps", "3",
                    "--ratio-max", "1e300", "--output", str(out)])
         assert rc == 1
-        assert threading.current_thread() not in threads
+        assert threading.current_thread() not in point_threads(calls)
         assert os.listdir(tmp_path) == []
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite result at N = 1001, ratio = 1e+300,")
         assert err.count("\n") == 1
+
+    def test_the_readme_grid_runs_in_stacks(self, monkeypatch):
+        # one task call per stack of up to _stack_size(M) ratios of a chain
+        calls = record_stack_calls(monkeypatch)
+        sweep_fidelity(2, README_LENGTHS, default_ratio_grid())
+        sizes = [fidelity._stack_size(N + 4) for N in README_LENGTHS]
+        assert [points for _, points in calls] == [
+            min(size, 40 - k) for size in sizes for k in range(0, 40, size)]
+        assert len(calls) == sum(math.ceil(40 / size) for size in sizes)
+        assert sizes == [24, 11, 6] and len(calls) == 13
+
+    def test_dqds_runs_twice_per_point(self, monkeypatch):
+        # a stack still solves each chain's even and odd mirror blocks alone
+        orders = record_dlasq1_orders(monkeypatch)
+        sweep_fidelity(2, README_LENGTHS, default_ratio_grid())
+        halves = [(N + 3) // 2 for N in README_LENGTHS]
+        assert orders == [order for c in halves for _ in range(40)
+                          for order in (c // 2 + 1, (c - 1) // 2 + 1)]
+
+
+# the README's default channel lengths
+README_LENGTHS = (101, 151, 201)
+
+# log10 ratios where each gap form is taken: the product form, the two-log
+# form of weak coupling (a mode below about 1e-146) and strong coupling,
+# where the mirror blocks' register modes agree to every bit
+stack_log_ratios = st.floats(-3.0, 1.0) | st.floats(-152.0, -143.0) | st.floats(5.5, 6.5)
+
+
+def gap_cells(which: str, p: int) -> int:
+    return {"1": 1, "7": 7, "p^2": p * p, "3p^2 + 5": 3 * p * p + 5}[which]
+
+
+class TestSweepStacks:
+    """The ratios of a channel length run as stacks of chains whose gap sums
+    share one set of array operations; each chain's elements are the bits it
+    gets alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.sampled_from([1, 3, 11, 101]),
+           log_ratios=st.lists(stack_log_ratios, min_size=1, max_size=12),
+           cells=st.sampled_from(["1", "7", "p^2", "3p^2 + 5"]),
+           t_frac=st.floats(0.0, 2.0))
+    @example(N=3, log_ratios=[-150.0, -2.0, 6.0, -146.5, -1.0], cells="7", t_frac=1.0)
+    @example(N=101, log_ratios=[-2.0, 0.0, -151.0], cells="3p^2 + 5", t_frac=1.0)
+    def test_stacked_elements_are_bit_identical_to_single_chains(self, N, log_ratios,
+                                                                  cells, t_frac):
+        # _GAP_CELLS of 1 and 7 give one-row blocks, p^2 splits the stack's
+        # rows into ragged blocks, and 3p^2 + 5 holds up to three whole chains
+        specs = [derive_parameters(2, N, 1.0, 10.0 ** x) for x in log_ratios]
+        ts = np.array([t_frac * spec.tau for spec in specs])
+        alone = [element_bits(register_elements(build_full_coupling_matrix(spec), t))
+                 for spec, t in zip(specs, ts)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fidelity, "_GAP_CELLS", gap_cells(cells, (N + 4) // 2))
+            stack = fidelity._register_stack(build_full_bonds(specs), ts)
+        assert [element_bits(RegisterElements(*row)) for row in stack] == alone
+
+    @pytest.mark.parametrize("cells", ["1", "7", "p^2", "3p^2 + 5"])
+    def test_ragged_stacks_give_the_same_rows(self, monkeypatch, cells):
+        # 10 ratios in stacks of 1, 1, 1 and 3 (the last of one chain)
+        ratios = [1e-150, 1e-148, 1e-146, 1e-3, 0.01, 0.1, 1.0, 3.0, 1e5, 1e6]
+        reference = sweep_fidelity(2, [11], ratios).rows
+        monkeypatch.setattr(fidelity, "_GAP_CELLS", gap_cells(cells, 15 // 2))
+        calls = record_stack_calls(monkeypatch)
+        assert sweep_fidelity(2, [11], ratios).rows == reference
+        size = {"3p^2 + 5": 3}.get(cells, 1)
+        assert [points for _, points in calls] == [min(size, 10 - k) for k in range(0, 10, size)]
+
+    def test_scratch_memory_stays_within_the_block_budget(self):
+        # the three gap blocks hold _GAP_CELLS doubles each, whatever the
+        # stack; the rest is a few dozen arrays of R x M cells per stack.
+        # Whole gap matrices for all 40 chains at N = 201 would take 10 MB
+        grid = default_ratio_grid()
+        largest = max(fidelity._stack_size(N + 4) * (N + 4) for N in README_LENGTHS)
+        sweep_fidelity(2, README_LENGTHS, grid)
+        tracemalloc.start()
+        try:
+            sweep_fidelity(2, README_LENGTHS, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (3 * fidelity._GAP_CELLS + 64 * largest)
 
 
 class TestSweep:
@@ -643,13 +743,16 @@ class TestSweep:
     @pytest.mark.parametrize("N_list,ratios,message", [
         ([3, 5.0], [0.1], "channel length"), ([3, -1], [0.1], "channel length"),
         ([3, True], [0.1], "channel length"), ([3], [0.1, np.nan], "couplings"),
-        ([3], [0.1, np.inf], "couplings")])
+        ([3], [0.1, np.inf], "couplings"),
+        # float() would take these as 1.0 and 0.1; derive_parameters refuses a bool
+        ([3], [0.1, True], "real numbers"), ([3], [0.1, np.True_], "real numbers"),
+        ([3], [0.1, "0.1"], "real numbers")])
     def test_checks_the_grid_before_any_point_runs(self, monkeypatch, N_list, ratios, message):
         # the N = 3, ratio 0.1 point is valid, and must not run either
-        threads = record_point_threads(monkeypatch)
+        calls = record_stack_calls(monkeypatch)
         with pytest.raises(ValueError, match=message):
             sweep_fidelity(2, N_list, ratios)
-        assert threads == []
+        assert calls == []
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_rejects_register_size_other_than_2(self, n):
