@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -93,6 +94,7 @@ def _flag_kwargs(key: str) -> dict:
     return {"choices": _CHOICES[key]} if key in _CHOICES else {}
 
 
+@functools.cache  # built once a process: parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="dfsqst", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -259,7 +261,7 @@ def _formula_vs_oracle_error(times) -> float:
         err = max(err,
                   abs(f_dfs(e) - orc.average_fidelity_bruteforce(_ORACLE_SPEC, "dfs", t)),
                   abs(f_ndfs(e) - orc.average_fidelity_bruteforce(_ORACLE_SPEC, "ndfs", t)))
-    return err
+    return float(err)  # f_dfs and f_ndfs give numpy floats
 
 
 def _verify_checks(cfg: RunConfig):

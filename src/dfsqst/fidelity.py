@@ -30,12 +30,16 @@ while every such product is a normal float, and the sum of their two logs
 at weak coupling or extreme scales.  The engine evaluates the elements over
 a grid of coupling ratios, by default at t = tau.  The ratios of one
 channel length run as stacks of chains of the same order M
-(`_register_stack`): each chain still gets its own dqds calls and its own
-choice of gap form, but the gap sums, phases and weights of the whole stack
-are one set of array operations.  A stack holds as many chains as fit
-their whole gap matrices into one block of `_GAP_CELLS` cells, so the
-scratch memory stays O(M), and a chain gets the same bits in any stack;
-`register_elements` is the stack of one.  A chain of at least
+(`_register_stack`), and each step from bonds to rows is one set of array
+operations over the whole stack: the dqds inputs of every chain's even
+blocks and then of its odd blocks are one work array each (`_spectra`),
+one dqds call a chain; the gap sums, weights and phases follow, the phases
+exp(-i sigma t) taken over the positive half only and conjugated for
+-sigma; and each fidelity formula is one call over the stack's elements.
+Each chain keeps its own choice of gap form.  A stack holds as many chains
+as fit their whole gap matrices into one block of `_GAP_CELLS` cells, so
+the scratch memory stays O(M), and a chain gets the same bits in any
+stack; `register_elements` is the stack of one.  A chain of at least
 `_POOL_MIN_ORDER` sites, whose stacks are single points, runs its ratios on
 a thread pool of one worker per usable CPU, since the dqds call and the gap
 sums release the GIL; shorter chains, single-ratio grids and one-CPU
@@ -44,8 +48,8 @@ processes run one stack after another in the calling thread.
 
 from __future__ import annotations
 
-import cmath
 import ctypes
+import math
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -78,6 +82,7 @@ _EPS = np.finfo(float).eps
 # range is normal floats, and as the log of each factor otherwise
 _TINY = np.finfo(float).tiny
 _ROOT_MAX = np.sqrt(np.finfo(float).max)
+_SQRT2 = math.sqrt(2.0)
 
 _DLASQ1_SIGNATURE = "void (int *, d *, d *, d *, int *)"
 
@@ -106,66 +111,95 @@ _dlasq1 = _lapack_routine("dlasq1", _DLASQ1_SIGNATURE)
 
 
 def _singular_values(b: np.ndarray) -> np.ndarray:
-    """The ascending positive half of the spectrum of the zero-diagonal
-    tridiagonal matrix with bonds b: the singular values of its even-by-odd
-    site block, the bidiagonal with diagonal b[0::2] and superdiagonal b[1::2]
-    (Golub & Kahan, SIAM J. Numer. Anal. B 2, 205 (1965))."""
-    n = len(b) // 2 + 1
-    # the diagonal and the superdiagonal, both zero-padded to order n, then
-    # dlasq1's workspace of 4n
-    work = np.zeros(6 * n)
-    work[:(len(b) + 1) // 2] = b[0::2]
-    work[n:n + len(b) // 2] = b[1::2]
+    """Row by row, the descending positive half of the spectrum of the
+    zero-diagonal tridiagonal matrix with bonds b[i], for a stack b of rows
+    of one length: the singular values of its even-by-odd site block, the
+    bidiagonal with diagonal b[i, 0::2] and superdiagonal b[i, 1::2]
+    (Golub & Kahan, SIAM J. Numer. Anal. B 2, 205 (1965)).  The stack's
+    bidiagonals and workspaces are one work array, and dqds runs once a
+    row; the result is a view of that array."""
+    r, k = b.shape
+    n = k // 2 + 1
+    # each row's diagonal and superdiagonal, both zero-padded to order n,
+    # then dlasq1's workspace of 4n
+    work = np.zeros((r, 6 * n))
+    work[:, :(k + 1) // 2] = b[:, 0::2]
+    work[:, n:n + k // 2] = b[:, 1::2]
     order, info = ctypes.c_int(n), ctypes.c_int()
+    order_at, info_at = ctypes.addressof(order), ctypes.addressof(info)
     # the buffer's address, at a third of the cost of `work.ctypes.data`
     at = ctypes.addressof(ctypes.c_char.from_buffer(work))
-    _dlasq1(ctypes.addressof(order), at, at + 8 * n, at + 16 * n, ctypes.addressof(info))
-    if info.value:
-        raise np.linalg.LinAlgError(f"dlasq1 failed to converge (info = {info.value})")
-    # descending; an odd-order matrix has one more even site than odd ones,
-    # and the structural zero singular value that leaves is dropped
-    return work[:(len(b) + 1) // 2][::-1]
+    for row in range(at, at + 48 * n * r, 48 * n):
+        _dlasq1(order_at, row, row + 8 * n, row + 16 * n, info_at)
+        if info.value:
+            raise np.linalg.LinAlgError(f"dlasq1 failed to converge (info = {info.value})")
+    # an odd-order matrix has one more even site than odd ones, and the
+    # structural zero singular value that leaves is dropped
+    return work[:, :(k + 1) // 2]
+
+
+def _spectra(b: np.ndarray) -> np.ndarray:
+    """Row by row, the floor(M/2) ascending positive eigenvalues of the
+    zero-diagonal tridiagonal matrix of order M with bonds b[i], for a stack
+    b of shape (R, M - 1).  Each spectrum is these, their negatives and, at
+    odd order, one zero.  A mirror-symmetric chain is solved as its even and
+    odd blocks (Cantoni & Butler, LAA 13, 275 (1976)), any other chain whole
+    by one dqds call on a bidiagonal of half the order (`_singular_values`).
+    At odd order 2c + 1 the even block is b[:c], the last times sqrt 2,
+    solved by dqds, and the odd block is b[:c-1], solved by this function
+    again; the mirror rows' even blocks and then their odd blocks are each
+    one work array, one dqds call a row.  At even order 2c + 2 the even
+    block is b[:c] with the middle bond b[c] on its last diagonal entry, and
+    the odd block is its negative under the sign flip (-1)^i, so the positive
+    half is |eig(even block)|.  That block is not bipartite, so dsterf solves
+    it, to an absolute error of about eps times the largest bond: dqds on
+    the whole chain's persymmetric bidiagonal returned two mirror modes
+    100 eps apart as their mean, off by more than that.  The sweep's chains
+    have odd order, and their odd blocks are not mirror-symmetric.  Each row
+    gets the bits it gets alone.  The bonds must be finite, which
+    `_register_stack` checks once for a whole stack."""
+    r, k = b.shape
+    c = k // 2
+    # the ufunc's reduce, not the `all` method, whose overhead a small solve shows
+    mirror = np.logical_and.reduce(b == b[:, ::-1], 1) if c else np.zeros(r, dtype=bool)
+    flags = mirror.tolist()
+    if not any(flags):
+        return _singular_values(b)[:, ::-1].copy()
+    both = all(flags)
+    pal = b if both else b[mirror]
+    if k % 2:
+        half = np.empty((len(pal), c + 1))
+        diag = np.zeros(c + 1)
+        for i, row in enumerate(pal):
+            diag[-1] = row[c]
+            half[i] = np.sort(np.abs(eigvalsh_tridiagonal(diag, row[:c], lapack_driver="sterf")))
+    else:
+        even = pal[:, :c].copy()
+        np.multiply(even[:, -1], _SQRT2, out=even[:, -1])
+        half = np.concatenate([_singular_values(even), _spectra(pal[:, :c - 1])], 1)
+        half.sort(1)
+    if both:
+        return half
+    sig = np.empty((r, (k + 1) // 2))
+    sig[mirror] = half
+    sig[~mirror] = _singular_values(b[~mirror])[:, ::-1]
+    return sig
 
 
 def _spectrum(b: np.ndarray) -> np.ndarray:
-    """The floor(M/2) ascending positive eigenvalues of the zero-diagonal
-    tridiagonal matrix of order M with bonds b, whose spectrum is these, their
-    negatives and, at odd order, one zero.  A mirror-symmetric chain is solved
-    as its even and odd blocks (Cantoni & Butler, LAA 13, 275 (1976)), any
-    other chain whole by one dqds call on a bidiagonal of half the order
-    (`_singular_values`).  At odd order 2c + 1 the even block is b[:c], the
-    last times sqrt 2, solved by dqds, and the odd block is b[:c-1], solved
-    by this function again.  At even order 2c + 2 the even block is b[:c]
-    with the middle bond b[c] on its last diagonal entry, and the odd block
-    is its negative under the sign flip (-1)^i, so the positive half is
-    |eig(even block)|.  That block is not bipartite, so dsterf solves it, to
-    an absolute error of about eps times the largest bond: dqds on the whole
-    chain's persymmetric bidiagonal returned two mirror modes 100 eps apart
-    as their mean, off by more than that.  The sweep's chains have odd
-    order, and their odd blocks are not mirror-symmetric.  The bonds must be
-    finite, which `_register_stack` checks once for a whole stack."""
-    c = len(b) // 2
-    if not c or (b != b[::-1]).any():
-        return _singular_values(b)
-    if len(b) % 2:
-        diag = np.zeros(c + 1)
-        diag[-1] = b[c]
-        return np.sort(np.abs(eigvalsh_tridiagonal(diag, b[:c], lapack_driver="sterf")))
-    even = b[:c].copy()
-    even[-1] *= np.sqrt(2.0)
-    sig = np.concatenate([_singular_values(even), _spectrum(b[:c - 1])])
-    sig.sort()
-    return sig
+    """`_spectra` of the one chain with bonds b."""
+    return _spectra(b[None])[0]
 
 
 @dataclass(frozen=True)
 class RegisterElements:
-    """The four register-to-register propagator elements for n = 2."""
+    """The four register-to-register propagator elements for n = 2: complex
+    numbers, or arrays of them, one entry a chain of a stack."""
 
-    d_r1l1: complex
-    d_r2l2: complex
-    d_r1l2: complex
-    d_r2l1: complex
+    d_r1l1: complex | np.ndarray
+    d_r2l2: complex | np.ndarray
+    d_r1l2: complex | np.ndarray
+    d_r2l1: complex | np.ndarray
 
 
 def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
@@ -186,7 +220,7 @@ def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
     summed as logs with their signs kept apart: chi'(lambda_k) has sign
     (-1)^(M-1-k) for ascending lambda, and a bond may be negative.
 
-    No eigenvectors are formed.  `_spectrum` gives the positive half
+    No eigenvectors are formed.  `_spectra` gives the positive half
     sigma_1..sigma_p of the spectrum (the rest is -sigma and, when
     z = M - 2p is 1, a zero), so with every factor taken over that half
 
@@ -225,8 +259,13 @@ def _register_stack(b: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The register elements of R chains of one order M at once, as the
     rows (d_r1l1, d_r2l2, d_r1l2, d_r2l1) of an (R, 4) array: bonds b of
     shape (R, M - 1), chain i at time t[i].  See `register_elements` for the
-    formula.  Each chain gets its own spectrum and its own choice of gap
-    form, and every row of gap logs is summed whole, so a chain's elements
+    formula.  Every step is one set of array operations over the stack: the
+    spectra (`_spectra`, whose dqds inputs are one work array per block
+    kind), the choice of gap form (one test, each chain its own result), the
+    gap sums, the weights, and the phases, which exp takes over the zero
+    mode and the positive half only, since at -sigma_k the phase is the
+    conjugate of that at sigma_k bit for bit.  Every row of gap logs is
+    summed whole and every element is one vector dot, so a chain's elements
     are the same bits in any stack.  The gap matrices of all R chains are
     taken a block of the same rows of each chain at a time, at most
     `_GAP_CELLS` cells a block while one row of every chain fits, so a stack
@@ -240,19 +279,19 @@ def _register_stack(b: np.ndarray, t: np.ndarray) -> np.ndarray:
         # log |b| is finite where a bond is neither zero nor inf nor nan, and
         # then their sum is too: each term lies within about +-745
         log_b = np.log(np.abs(b))
-        if not np.isfinite(np.add.reduce(log_b, axis=None)):
+        if not math.isfinite(np.add.reduce(log_b, None)):
             raise ValueError("register_elements needs every bond nonzero" if not b.all()
                              else "the bonds must be finite")
-        sig = np.empty((r, p))
-        fit = []
-        for i in range(r):
-            sig[i] = half = _spectrum(b[i])
-            # past that range a subnormal product would lose digits, and an
-            # overflowed one would drop a mode from the sums
-            fit.append(_TINY <= _EPS * (half[0] + half[1]) ** 2 and 2.0 * half[-1] <= _ROOT_MAX)
-        mixed = not all(fit)
+        sig = _spectra(b)
+        two_sig = 2.0 * sig
+        # past that range a subnormal product would lose digits, and an
+        # overflowed one would drop a mode from the sums; float_power squares
+        # by C pow, as a scalar's ** 2 does (x * x differs in rare last bits)
+        fit = ((_TINY <= _EPS * np.float_power(sig[:, 0] + sig[:, 1], 2.0))
+               & (two_sig[:, -1] <= _ROOT_MAX))
+        mixed = not all(fit.tolist())
         if mixed:
-            fit = np.array(fit)[:, None, None]
+            fit = fit[:, None, None]
         # log |chi'(lambda_k)| for ascending lambda, the positive half `pos`
         # last: sum_{j != k} log |sigma_k^2 - sigma_j^2|, one block of rows of
         # every chain at a time
@@ -286,7 +325,7 @@ def _register_stack(b: np.ndarray, t: np.ndarray) -> np.ndarray:
             np.add.reduce(g, axis=2, out=pos[:, k0:k1])
         # |chi'(+-sigma_k)| = 2 sigma_k^(1+z) prod_{j != k} |sigma_k^2 - sigma_j^2|
         # and |chi'(0)| = prod_j sigma_j^2, for the spectrum in ascending order
-        pos += np.log(2.0 * sig)
+        pos += np.log(two_sig)
         if z:
             log_sig = np.log(sig)
             pos += log_sig
@@ -294,10 +333,15 @@ def _register_stack(b: np.ndarray, t: np.ndarray) -> np.ndarray:
         log_chi[:, :p] = pos[:, ::-1]
         lam = np.zeros((r, m))
         lam[:, :p], lam[:, m - p:] = -sig[:, ::-1], sig
-        # e^{-i lambda_k t} times the sign (-1)^(M-1-k) of chi'(lambda_k)
-        sign = np.ones(m)
-        sign[m - 2::-2] = -1.0
-        phases = np.exp(-1j * lam * t[:, None]) * sign
+        # e^{-i lambda_k t} over the zero mode and the positive half; at
+        # -sigma_k it is the conjugate of that at sigma_k, bit for bit
+        phases = np.empty((r, m), dtype=complex)
+        np.exp(-1j * lam[:, p:] * t[:, None], out=phases[:, p:])
+        np.conjugate(phases[:, m - p:][:, ::-1], out=phases[:, :p])
+        # times the sign (-1)^(M-1-k) of chi'(lambda_k)
+        sign = np.empty(m)
+        sign[m - 1::-2], sign[m - 2::-2] = 1.0, -1.0
+        phases *= sign
         # Delta_{R1,L1} = Delta_{1,M}, Delta_{R2,L2} = Delta_{2,M-1},
         # Delta_{R1,L2} = Delta_{2,M}, Delta_{R2,L1} = Delta_{1,M-1}: bonds
         # b[first:stop] (0-based) times lambda^0, lambda^2, lambda, lambda
@@ -305,8 +349,8 @@ def _register_stack(b: np.ndarray, t: np.ndarray) -> np.ndarray:
         for k, (first, stop) in enumerate(((0, m - 1), (1, m - 2), (1, m - 1), (0, m - 2))):
             np.add.reduce(log_b[:, first:stop], axis=1, out=log_bonds[:, k, 0])
         weights = np.exp(log_bonds - log_chi[:, None])
-        weights[:, 1] *= np.square(lam)
-        weights[:, 2:] *= lam[:, None]
+        np.multiply(weights[:, 1], np.square(lam), out=weights[:, 1])
+        np.multiply(weights[:, 2:], lam[:, None], out=weights[:, 2:])
         # the signs of those bond products, 1 unless a bond is negative, and
         # exact in any order: the prefix product up to the bond before
         # `stop`, times b[0]'s where first = 1
@@ -319,16 +363,30 @@ def _register_stack(b: np.ndarray, t: np.ndarray) -> np.ndarray:
         return signs * np.matmul(weights[:, :, None], phases[:, None, :, None])[:, :, 0, 0]
 
 
-def f_dfs(e: RegisterElements) -> float:
-    """Average fidelity for the DFS encoding {|dn,up>, |up,dn>}."""
-    return float(0.5 + (2.0 * np.real(np.conj(e.d_r1l1) * e.d_r2l2)
-                        + abs(e.d_r1l1) ** 2 - abs(e.d_r1l2) ** 2) / 6.0)
+def _square_norm(x):
+    """|x|^2 as a complex scalar's abs(x) ** 2 gives it (hypot, then C pow),
+    element by element: numpy's complex abs and x * x differ from that in
+    rare last bits."""
+    return np.float_power(np.hypot(x.real, x.imag), 2.0)
 
 
-def f_ndfs(e: RegisterElements) -> float:
-    """Average fidelity for the non-DFS encoding {|dn,dn>, |up,up>}."""
-    return float(0.5 + (2.0 * np.real(e.d_r1l1 * e.d_r2l2 - e.d_r1l2 * e.d_r2l1)
-                        + abs(e.d_r1l1) ** 2 + abs(e.d_r1l2) ** 2) / 6.0)
+def f_dfs(e: RegisterElements):
+    """Average fidelity for the DFS encoding {|dn,up>, |up,dn>}, element by
+    element where the elements are arrays.  Re(conj(a) b) is spelled out in
+    real products, as numpy's scalar complex multiply forms it; its array
+    multiply differs in rare last bits."""
+    a, b = e.d_r1l1, e.d_r2l2
+    coherence = a.real * b.real + a.imag * b.imag
+    return 0.5 + (2.0 * coherence + _square_norm(a) - _square_norm(e.d_r1l2)) / 6.0
+
+
+def f_ndfs(e: RegisterElements):
+    """Average fidelity for the non-DFS encoding {|dn,dn>, |up,up>}, element
+    by element where the elements are arrays; Re(ab - cd) is spelled out as
+    in `f_dfs`."""
+    a, b, c, d = e.d_r1l1, e.d_r2l2, e.d_r1l2, e.d_r2l1
+    coherence = (a.real * b.real - a.imag * b.imag) - (c.real * d.real - c.imag * d.imag)
+    return 0.5 + (2.0 * coherence + _square_norm(a) + _square_norm(c)) / 6.0
 
 
 @dataclass(frozen=True)
@@ -366,22 +424,27 @@ def default_ratio_grid(lo: float = 1e-3, hi: float = 1.0, steps: int = 40,
 def _point_fidelities(specs: list[ChainSpec], t_choice,
                       encodings: tuple[str, ...]) -> list[SweepRow]:
     """The rows of a stack of grid points that share N, in grid order: one
-    `_register_stack` call for their elements, then each point's checks."""
-    ts = [float(spec.tau) if t_choice == "tau" else float(t_choice) for spec in specs]
+    `_register_stack` call for their elements, one call of each fidelity
+    formula over the stack, then one finiteness check."""
+    ts = [spec.tau if t_choice == "tau" else float(t_choice) for spec in specs]
     stack = _register_stack(build_full_bonds(specs), np.array(ts))
-    rows = []
-    for spec, t, e in zip(specs, ts, stack):
-        elems = RegisterElements(e[0], e[1], e[2], e[3])
-        fids = [f_dfs(elems) if enc == "dfs" else f_ndfs(elems) for enc in encodings]
-        # extreme ratios or times overflow the spectral sums
-        if not all(map(cmath.isfinite, (*vars(elems).values(), *fids))):
-            raise ValueError(f"non-finite result at N = {spec.N}, ratio = {spec.g_I!r}, t = {t!r}")
-        # a fidelity is at most 1, but rounding can put the formula a few ulps
-        # above it (up to 1 + 2.7e-15 seen at N = 1); only the rows are clipped,
-        # so f_dfs/f_ndfs still show a sign error on non-unitary elements
-        rows.extend(SweepRow(N=spec.N, n=spec.n, ratio=spec.g_I, t=t, encoding=enc,
-                             fidelity=min(max(f, 0.0), 1.0)) for enc, f in zip(encodings, fids))
-    return rows
+    elems = RegisterElements(*stack.T)
+    fids = [f_dfs(elems) if enc == "dfs" else f_ndfs(elems) for enc in encodings]
+    # extreme ratios or times overflow the spectral sums
+    finite = np.logical_and.reduce(np.isfinite(stack), 1)
+    for f in fids:
+        finite &= np.isfinite(f)
+    if not all(finite.tolist()):
+        i = int(np.argmin(finite))
+        raise ValueError(f"non-finite result at N = {specs[i].N}, ratio = {specs[i].g_I!r}, "
+                         f"t = {ts[i]!r}")
+    # a fidelity is at most 1, but rounding can put the formula a few ulps
+    # above it (up to 1 + 2.7e-15 seen at N = 1); only the rows are clipped,
+    # so f_dfs/f_ndfs still show a sign error on non-unitary elements
+    fids = [f.tolist() for f in fids]
+    return [SweepRow(N=spec.N, n=spec.n, ratio=spec.g_I, t=t, encoding=enc,
+                     fidelity=min(max(f[i], 0.0), 1.0))
+            for i, (spec, t) in enumerate(zip(specs, ts)) for enc, f in zip(encodings, fids)]
 
 
 # chains of at least this many sites (N + 4) run their ratios on a thread

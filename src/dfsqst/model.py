@@ -101,13 +101,15 @@ def derive_parameters(n: int, N: int, g_C: float, g_I: float) -> ChainSpec:
         raise ValueError(f"couplings must be finite reals > 0, got g_C={g_C!r}, g_I={g_I!r}")
 
     kappa = (N + 1) // 2
-    # sin(kappa*pi/(N+1)) = sin(pi/2) = 1 for odd N; keep the formula literal
-    t_kappa = float(g_I * np.sqrt(2.0 / (N + 1)) * np.sin(kappa * np.pi / (N + 1)))
-    g0 = float(2.0 * t_kappa / np.sqrt(n * (n + 1)))
-    if not (0.0 < g0 < np.inf and np.pi / g0 < np.inf):
+    # sin(kappa*pi/(N+1)) = sin(pi/2) = 1 for odd N; keep the formula literal.
+    # Python floats throughout: the same bits as numpy's scalars (sqrt is
+    # correctly rounded, and that sine is 1.0 either way), at less cost
+    t_kappa = float(g_I) * math.sqrt(2.0 / (N + 1)) * math.sin(kappa * math.pi / (N + 1))
+    g0 = 2.0 * t_kappa / math.sqrt(n * (n + 1))
+    if not (0.0 < g0 < math.inf and math.pi / g0 < math.inf):
         raise ValueError(f"g_I = {g_I!r} at N = {N} puts g0 = {g0!r} or tau = pi/g0 out of range")
-    g_u = tuple(float(0.5 * g0 * np.sqrt(u * (2 * n - u + 1))) for u in range(1, n + 1))
-    tau = float(np.pi / g0)
+    g_u = tuple(0.5 * g0 * math.sqrt(u * (2 * n - u + 1)) for u in range(1, n + 1))
+    tau = math.pi / g0
     return ChainSpec(n=n, N=N, g_C=g_C, g_I=g_I, kappa=kappa,
                      t_kappa=t_kappa, g0=g0, g_u=g_u, tau=tau)
 

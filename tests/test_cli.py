@@ -262,6 +262,28 @@ class TestParseConfig:
         assert f"usage: dfsqst {argv[0]} " in err
         assert f"dfsqst {argv[0]}: error: unrecognized arguments: {argv[1]}" in err
 
+    def test_one_parser_serves_every_call(self, monkeypatch, tmp_path, capsys):
+        # the parser is built once a process; a usage error after it has
+        # served a call still prints the subcommand's own usage line
+        parsers = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def recorded(self, *args, **kwargs):
+            if self.prog == "dfsqst":
+                parsers.append(self)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recorded)
+        for _ in range(2):
+            assert main(["phases", "--n", "1", "--output", str(tmp_path / "p.csv")]) == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+        with pytest.raises(SystemExit) as exc:
+            main(["phases", "--format", "json"])
+        assert exc.value.code == 2 and parsers[2] is parsers[0]
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dfsqst phases [-h] [--config CONFIG] [--n N]")
+        assert "dfsqst phases: error: unrecognized arguments: --format json" in err
+
     @settings(max_examples=100, deadline=None)
     @given(args=st.sampled_from(["sweep", "verify", "oracle", "phases"]).flatmap(_argv))
     @example(args=(["verify", "--tolerance-scale", "-1"], {}))

@@ -1,3 +1,4 @@
+import cmath
 import ctypes
 import math
 import os
@@ -50,6 +51,31 @@ class TestPauliTransferTerms:
         assert t_z == pytest.approx(-0.375, abs=1e-15)
 
 
+def scalar_f_dfs(e):
+    """F_DFS in numpy scalar arithmetic on one chain's complex elements: the
+    reference the array formula must reproduce bit for bit."""
+    return float(0.5 + (2.0 * np.real(np.conj(e.d_r1l1) * e.d_r2l2)
+                        + abs(e.d_r1l1) ** 2 - abs(e.d_r1l2) ** 2) / 6.0)
+
+
+def scalar_f_ndfs(e):
+    """F_NDFS in numpy scalar arithmetic (see `scalar_f_dfs`)."""
+    return float(0.5 + (2.0 * np.real(e.d_r1l1 * e.d_r2l2 - e.d_r1l2 * e.d_r2l1)
+                        + abs(e.d_r1l1) ** 2 + abs(e.d_r1l2) ** 2) / 6.0)
+
+
+# an element of magnitude 1e-300 to 1e3 at any phase, so that its real and
+# imaginary parts are often alike and a product's last bit depends on how
+# it is rounded; or parts from that range and the formulas' special values
+element_parts = (st.builds(lambda sign, x: sign * 10.0 ** x, st.sampled_from([1.0, -1.0]),
+                           st.floats(-300.0, 3.0))
+                 | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+element_values = (st.builds(lambda x, phase: cmath.rect(10.0 ** x, phase),
+                            st.floats(-300.0, 3.0), st.floats(0.0, 2 * math.pi))
+                  | st.builds(complex, element_parts, element_parts))
+element_rows = st.lists(element_values, min_size=4, max_size=4)
+
+
 class TestFidelityFormulas:
     def test_dfs_perfect(self):
         assert f_dfs(elements(1, 1, 0, 0)) == pytest.approx(1.0, abs=1e-15)
@@ -86,6 +112,37 @@ class TestFidelityFormulas:
         e, flipped = elements(*vals), elements(*(-v for v in vals))
         assert f_dfs(e) == f_dfs(flipped)
         assert f_ndfs(e) == f_ndfs(flipped)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(element_rows, min_size=1, max_size=8))
+    @example(rows=[[1e3 + 1e3j, 1e-300j, -1e3, 1e-300 - 1e-300j]])
+    @example(rows=[[complex(math.inf, 0.0), 1.0, 0.0, 0.0], [complex(0.0, -0.0), 1.0, 1j, -1j]])
+    def test_array_formulas_are_the_scalar_bits(self, rows):
+        # over a stack the formulas run as array operations; each entry must
+        # be the bits the scalar formula gives that chain's elements, and be
+        # non-finite exactly where that is
+        stack = np.array(rows, dtype=complex)
+        with np.errstate(all="ignore"):
+            fast = (f_dfs(RegisterElements(*stack.T)), f_ndfs(RegisterElements(*stack.T)))
+            for i, row in enumerate(stack):
+                e = RegisterElements(*row)  # numpy complex scalars
+                for f, reference in zip(fast, (scalar_f_dfs(e), scalar_f_ndfs(e))):
+                    assert math.isfinite(f[i]) == math.isfinite(reference)
+                    if math.isfinite(reference):
+                        assert float(f[i]).hex() == reference.hex()
+
+    def test_array_formulas_are_the_scalar_bits_on_a_large_batch(self):
+        # a last-bit difference in one square or product reaches the
+        # fidelity only where the terms are alike in size, as a propagator's
+        # are, and even then rarely: x * x in place of the scalar square
+        # changed 8 of these 100000 rows, the array complex multiply 328
+        rng = np.random.default_rng(3)
+        stack = (10.0 ** rng.uniform(-2, 0, (100000, 4))
+                 * np.exp(2j * np.pi * rng.random((100000, 4))))
+        fast = (f_dfs(RegisterElements(*stack.T)), f_ndfs(RegisterElements(*stack.T)))
+        for formula, scalar in zip(fast, (scalar_f_dfs, scalar_f_ndfs)):
+            reference = [scalar(RegisterElements(*row)) for row in stack]
+            assert formula.tolist() == reference
 
     def test_bounded_for_unitary_propagators(self):
         rng = np.random.default_rng(17)
@@ -410,6 +467,33 @@ def chain_bonds(draw):
     return np.array(draw(st.lists(signed_bonds, max_size=120)))
 
 
+@st.composite
+def stack_bonds(draw):
+    """A stack of 1-8 chains of one order up to 41, each drawn as
+    `chain_bonds` draws them (a palindrome or any bonds), or as a palindrome
+    whose odd block is one too."""
+    k = draw(st.integers(0, 40))
+    c = k // 2
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["any", "mirror", "nested"] if k % 2 == 0 and c > 2
+                                    else ["any", "mirror"]))
+        if kind == "any":
+            rows.append(draw(st.lists(signed_bonds, min_size=k, max_size=k)))
+            continue
+        if kind == "nested":
+            # the odd block b[:c-1] is itself a palindrome
+            inner = draw(st.lists(signed_bonds, min_size=(c - 1) // 2, max_size=(c - 1) // 2))
+            half = inner + draw(st.lists(signed_bonds, min_size=(c - 1) % 2,
+                                         max_size=(c - 1) % 2)) + inner[::-1]
+            half.append(draw(signed_bonds))
+        else:
+            half = draw(st.lists(signed_bonds, min_size=c, max_size=c))
+        rows.append(half + draw(st.lists(signed_bonds, min_size=k % 2, max_size=k % 2))
+                    + half[::-1])
+    return np.array(rows, dtype=float).reshape(len(rows), k)
+
+
 class TestSpectrum:
     @settings(max_examples=200, deadline=None)
     @given(bonds=chain_bonds())
@@ -429,6 +513,23 @@ class TestSpectrum:
         scale = np.abs(bonds).max(initial=0.0)
         np.testing.assert_allclose(fidelity._spectrum(bonds), reference[m - m // 2:], rtol=0,
                                    atol=8 * np.sqrt(m) * np.finfo(float).eps * scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(b=stack_bonds())
+    @example(b=np.array([[102.0, 1 / 64, 1.0, 1.0, 1.0, 1 / 64, 102.0, 0.5,
+                          0.5, 102.0, 1 / 64, 1.0, 1.0, 1.0, 1 / 64, 102.0],
+                         [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0,
+                          8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0],
+                         [1.0] * 16]))
+    @example(b=np.array([[102.0, 1 / 64, 1.0, 1.0, 1.0, 1 / 64, 102.0], [1.0, 2, 3, 4, 5, 6, 7]]))
+    @example(b=np.zeros((3, 0)))
+    def test_stack_rows_are_the_one_row_bits(self, b):
+        # mirror and other rows, nested mirrors and even orders mixed in one
+        # stack: every row gets the bits it gets alone
+        stacked = fidelity._spectra(b)
+        assert stacked.shape == (len(b), (b.shape[1] + 1) // 2)
+        for row, alone in zip(stacked, b):
+            assert row.tobytes() == fidelity._spectrum(alone.copy()).tobytes()
 
     def test_mirror_symmetric_chain_is_solved_in_two_halves(self, monkeypatch):
         orders = record_dlasq1_orders(monkeypatch)
@@ -628,12 +729,18 @@ class TestSweepPool:
         assert sizes == [24, 11, 6] and len(calls) == 13
 
     def test_dqds_runs_twice_per_point(self, monkeypatch):
-        # a stack still solves each chain's even and odd mirror blocks alone
+        # each chain's even and odd mirror blocks are still solved alone: a
+        # stack's even blocks, one dqds call each, then its odd blocks
         orders = record_dlasq1_orders(monkeypatch)
         sweep_fidelity(2, README_LENGTHS, default_ratio_grid())
-        halves = [(N + 3) // 2 for N in README_LENGTHS]
-        assert orders == [order for c in halves for _ in range(40)
-                          for order in (c // 2 + 1, (c - 1) // 2 + 1)]
+        expected = []
+        for N in README_LENGTHS:
+            c, size = (N + 3) // 2, fidelity._stack_size(N + 4)
+            for k in range(0, 40, size):
+                points = min(size, 40 - k)
+                expected += [c // 2 + 1] * points + [(c - 1) // 2 + 1] * points
+        assert orders == expected
+        assert len(orders) == 2 * 40 * len(README_LENGTHS)
 
 
 # the README's default channel lengths
@@ -766,6 +873,14 @@ class TestSweep:
         # lambda^2 overflows at a huge ratio, e^{-i lambda t} at an infinite t
         with pytest.raises(ValueError, match="non-finite result at N = 3"):
             sweep_fidelity(2, [3], [ratio], t_choice=t)
+
+    def test_names_the_first_non_finite_point_of_a_stack(self):
+        # one stack holds all five points, and the check runs once for the
+        # stack: the error still names the first failing point in grid order
+        ratios = [1e-300, 1e-200, 1e-160, 0.01, 1e300]
+        assert fidelity._stack_size(7) >= len(ratios)
+        with pytest.raises(ValueError, match=r"non-finite result at N = 3, ratio = 1e-300, t = "):
+            sweep_fidelity(2, [3], ratios[::-1])
 
     @pytest.mark.parametrize("N", [3, 101])
     @pytest.mark.parametrize("ratio", [1e-160, 1e-200, 1e-300])

@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dfsqst.model import (ChainSpec, derive_parameters, build_full_coupling_matrix,
                           build_effective_coupling_matrix, channel_spectrum,
                           mode_couplings)
 from dense_reference import dense, jx_matrix
+
+
+def numpy_scalar_parameters(n, N, g_I):
+    """(t_kappa, g0, g_u, tau) in numpy scalar arithmetic: the reference
+    `derive_parameters`' Python floats must match bit for bit."""
+    kappa = (N + 1) // 2
+    t_kappa = float(g_I * np.sqrt(2.0 / (N + 1)) * np.sin(kappa * np.pi / (N + 1)))
+    g0 = float(2.0 * t_kappa / np.sqrt(n * (n + 1)))
+    g_u = tuple(float(0.5 * g0 * np.sqrt(u * (2 * n - u + 1))) for u in range(1, n + 1))
+    return t_kappa, g0, g_u, float(np.pi / g0)
 
 
 class TestDeriveParameters:
@@ -62,6 +73,21 @@ class TestDeriveParameters:
     def test_rejects_invalid_input(self, kwargs):
         with pytest.raises(ValueError):
             derive_parameters(**kwargs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 4), N=st.integers(0, 5000).map(lambda k: 2 * k + 1),
+           log_g=st.floats(-150.0, 150.0), kind=st.sampled_from([float, np.float64]))
+    @example(n=2, N=10001, log_g=-2.0, kind=float)
+    @example(n=1, N=1, log_g=150.0, kind=np.float64)
+    @example(n=4, N=9999, log_g=-150.0, kind=float)
+    def test_fields_are_the_numpy_scalar_bits(self, n, N, log_g, kind):
+        g_I = kind(10.0 ** log_g)
+        spec = derive_parameters(n, N, 1.0, g_I)
+        t_kappa, g0, g_u, tau = numpy_scalar_parameters(n, N, g_I)
+        assert (spec.n, spec.N, spec.g_C, spec.g_I, spec.kappa) == (n, N, 1.0, g_I, (N + 1) // 2)
+        assert [v.hex() for v in (spec.t_kappa, spec.g0, *spec.g_u, spec.tau)] == \
+            [v.hex() for v in (t_kappa, g0, *g_u, tau)]
+        assert all(type(v) is float for v in (spec.t_kappa, spec.g0, *spec.g_u, spec.tau))
 
     def test_accepts_numpy_scalars(self):
         spec = derive_parameters(n=np.int64(2), N=np.int32(3),
