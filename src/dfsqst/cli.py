@@ -26,7 +26,7 @@ import tempfile
 
 import numpy as np
 
-from .model import derive_parameters
+from .model import _is_int, _is_real, derive_parameters
 from .propagator import (MIRROR_TOL, closed_form_effective_elements, dense_register_elements,
                          eigendecompose, mirror_inversion_error, propagator_at)
 from .model import build_effective_coupling_matrix, build_full_coupling_matrix
@@ -109,30 +109,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _is_number(value, integer: bool = False) -> bool:
-    kinds = int if integer else (int, float)
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range is fine only where ints go
-        return integer
-
-
 def _valid(key: str, value) -> bool:
     """Whether a flag or config value has its default's type and, if a number, is finite."""
     default = _DEFAULTS[key]
     if key == "time":
-        return value == "tau" or _is_number(value)
+        return value == "tau" or _is_real(value) and math.isfinite(value)
     if default is None:
         return value is None or isinstance(value, str)
     if isinstance(default, list):
-        return isinstance(value, list) and all(_is_number(v, integer=True) for v in value)
+        return isinstance(value, list) and all(map(_is_int, value))
     if key in _CHOICES:
         return value in _CHOICES[key]
     if isinstance(default, (bool, str)):
         return type(value) is type(default)
-    return _is_number(value, integer=isinstance(default, int))
+    if isinstance(default, int):
+        return _is_int(value)
+    return _is_real(value) and math.isfinite(value)
 
 
 def parse_config(argv) -> RunConfig:
@@ -143,10 +135,12 @@ def parse_config(argv) -> RunConfig:
 
     merged = dict(_DEFAULTS)
     if ns.config:
+        # reading raises ValueError for bad JSON, for a file that is not
+        # UTF-8 and for an int literal past the interpreter's digit limit
         try:
             with open(ns.config) as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             parser.error(f"cannot read config file: {exc}")
         if not isinstance(file_cfg, dict):
             parser.error("config file must hold a JSON object")

@@ -59,7 +59,8 @@ import numpy as np
 import scipy
 from scipy.linalg import cython_lapack, eigvalsh_tridiagonal
 
-from .model import ChainSpec, CouplingMatrix, _is_real, build_full_bonds, derive_parameters
+from .model import (ChainSpec, CouplingMatrix, _is_int, _is_real, build_full_bonds,
+                    derive_parameters)
 
 __all__ = [
     "RegisterElements",
@@ -186,11 +187,6 @@ def _spectra(b: np.ndarray) -> np.ndarray:
     return sig
 
 
-def _spectrum(b: np.ndarray) -> np.ndarray:
-    """`_spectra` of the one chain with bonds b."""
-    return _spectra(b[None])[0]
-
-
 @dataclass(frozen=True)
 class RegisterElements:
     """The four register-to-register propagator elements for n = 2: complex
@@ -241,9 +237,16 @@ def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
     is zero because a `CouplingMatrix` has none.  Where the sums leave the float
     range the elements come out inf or nan, silently; callers check.  This
     is `_register_stack` on a stack of one chain.
+
+    Raises ValueError for registers of fewer than two sites, a zero or
+    non-finite bond, or a time t that is not a real number (`_is_real`: a
+    bool, a numeric string or an int beyond the float range is refused; an
+    inf or nan t is taken, and gives non-finite elements).
     """
     if omega.n < 2:
         raise ValueError("register_elements needs the sites L1, L2, ..., R2, R1")
+    if not _is_real(t):
+        raise ValueError(f"the time t must be a real number, got t = {t!r}")
     e = _register_stack(omega.bonds[None], np.array([t], dtype=float))[0]
     return RegisterElements(e[0], e[1], e[2], e[3])
 
@@ -408,6 +411,10 @@ def default_ratio_grid(lo: float = 1e-3, hi: float = 1.0, steps: int = 40,
                        log_spaced: bool = True) -> np.ndarray:
     """Ratio grid, pre-rounded to 15 significant digits so that the CSV
     scientific-notation contract round-trips exactly."""
+    if not all(_is_real(x) and math.isfinite(x) for x in (lo, hi)):
+        raise ValueError(f"ratio bounds must be finite real numbers, got [{lo!r}, {hi!r}]")
+    if not (_is_int(steps) and _is_real(steps)):  # geomspace takes it as a float
+        raise ValueError(f"steps must be an integer that a float can hold, got {steps!r}")
     if steps < 1:
         raise ValueError("ratio grid must have at least one point")
     if lo >= hi and steps > 1:
@@ -471,7 +478,9 @@ def sweep_fidelity(n: int, N_list, ratio_grid, t_choice="tau",
 
     Row order is deterministic: N outer, ratio inner ascending, dfs before
     ndfs.  The grid is checked before any point runs; a ratio must be a
-    real number and not a bool, as `derive_parameters` asks of g_I.  The
+    real number and not a bool, as `derive_parameters` asks of g_I, and so
+    must a time t_choice other than "tau" (`_is_real`; an inf or nan time
+    runs and is reported as a non-finite point).  The
     ratios of each channel length run in grid order as stacks of up to
     `_stack_size(N + 2n)` points, one `_point_fidelities` task a stack,
     whose elements come from one `_register_stack` call.  The stacks of a
@@ -492,6 +501,8 @@ def sweep_fidelity(n: int, N_list, ratio_grid, t_choice="tau",
         if not _is_real(r):
             raise ValueError(f"ratios must be real numbers, got {r!r}")
     ratios = sorted(map(float, ratios))
+    if not (t_choice == "tau" or _is_real(t_choice)):
+        raise ValueError(f"t_choice must be 'tau' or a real number, got {t_choice!r}")
     if not N_list or not ratios:
         raise ValueError("empty sweep grid")
     for enc in encodings:

@@ -17,6 +17,13 @@ diagonal, so `CouplingMatrix` stores just its M - 1 bonds and the register
 size n.  The site ordering [L1..Ln, c1..cN, Rn..R1] is fixed once here and
 every other module finds the registers by position in it: L1, L2 are sites
 0, 1 and R2, R1 sites M - 2, M - 1.
+
+This module also owns the rule for which numbers a caller may pass, as two
+predicates that every module's input checks call: `_is_int` (an int or
+numpy integer, not a bool) and `_is_real` (an int, float or numpy real
+scalar that a float can hold, not a bool).  Neither accepts a numeric
+string.  Whether a value must also be finite or in range is each
+caller's own test.
 """
 
 from __future__ import annotations
@@ -81,17 +88,26 @@ def _is_int(x) -> bool:
 
 
 def _is_real(x) -> bool:
-    """An int, float or numpy real scalar, not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    """An int, float or numpy real scalar that a float can hold (inf, nan too), not a bool."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        float(x)
+    except OverflowError:  # an int or fraction beyond the float range
+        return False
+    return True
 
 
 def derive_parameters(n: int, N: int, g_C: float, g_I: float) -> ChainSpec:
     """Derive every coupling parameter from the four free inputs.
 
     Raises ValueError for even N (no zero-energy channel mode exists),
-    sizes that are not positive integers (bools included), couplings that
-    are not finite positive reals, or a g_I so far from 1 that g0 or
-    tau = pi/g0 leaves the floating-point range.
+    sizes that are not positive integers (`_is_int`: a bool, a float such
+    as 3.0 or a numeric string is refused), sizes so large that the
+    couplings leave the floating-point range, couplings that are not finite
+    positive reals (`_is_real`: a bool, a string or an int beyond the float
+    range is refused), or a g_I so far from 1 that g0 or tau = pi/g0 leaves
+    the floating-point range.
     """
     if not _is_int(n) or n < 1:
         raise ValueError(f"register size must be an integer >= 1, got {n!r}")
@@ -104,8 +120,11 @@ def derive_parameters(n: int, N: int, g_C: float, g_I: float) -> ChainSpec:
     # sin(kappa*pi/(N+1)) = sin(pi/2) = 1 for odd N; keep the formula literal.
     # Python floats throughout: the same bits as numpy's scalars (sqrt is
     # correctly rounded, and that sine is 1.0 either way), at less cost
-    t_kappa = float(g_I) * math.sqrt(2.0 / (N + 1)) * math.sin(kappa * math.pi / (N + 1))
-    g0 = 2.0 * t_kappa / math.sqrt(n * (n + 1))
+    try:
+        t_kappa = float(g_I) * math.sqrt(2.0 / (N + 1)) * math.sin(kappa * math.pi / (N + 1))
+        g0 = 2.0 * t_kappa / math.sqrt(n * (n + 1))
+    except OverflowError:  # N + 1 or n (n + 1) beyond the float range
+        raise ValueError(f"sizes n = {n}, N = {N} put the couplings out of range") from None
     if not (0.0 < g0 < math.inf and math.pi / g0 < math.inf):
         raise ValueError(f"g_I = {g_I!r} at N = {N} puts g0 = {g0!r} or tau = pi/g0 out of range")
     g_u = tuple(0.5 * g0 * math.sqrt(u * (2 * n - u + 1)) for u in range(1, n + 1))

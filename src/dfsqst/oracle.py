@@ -250,7 +250,10 @@ def jw_phase_prediction(s: int, n: int) -> int:
     reversing the order of Ne fermionic creation operators (Albanese,
     Christandl, Datta & Ekert, PRL 93, 230502 (2004)).
     """
-    if not 0 <= s < 1 << (2 * n + 1):
+    if not (_is_int(s) and _is_int(n)):
+        raise ValueError(f"s and n must be integers, got s = {s!r}, n = {n!r}")
+    # s < 2^(2n + 1) by bit length, as a huge n would make that power a huge int
+    if not (0 <= s and int(s).bit_length() <= 2 * n + 1):
         raise ValueError(f"basis index {s} out of range for n = {n}")
     ne = bin(s).count("1")
     return -1 if (n * ne + ne * (ne - 1) // 2) % 2 else 1
@@ -271,7 +274,7 @@ def phase_table(n: int) -> list[PhaseRow]:
     Evolves each basis state of the effective model (N = 3, g_I/g_C = 0.1)
     for tau and compares against predicted_sign * (its mirror image).
     """
-    if n > 3:
+    if _is_int(n) and n > 3:  # derive_parameters refuses any other n
         raise ValueError("phase table capped at n = 3 (128 basis states)")
     spec = derive_parameters(n=n, N=3, g_C=1.0, g_I=0.1)
     L = 2 * n + 1
@@ -388,9 +391,15 @@ def _run_pipeline(bonds: np.ndarray, encoding, t: float, channel_states, lams):
             lambda v: phases @ v.reshape(2, -1, v.shape[1]).sum(axis=1))
 
 
-def _check_finite_time(t: float) -> None:
-    if not math.isfinite(t):
+def _pipeline_chain(spec: ChainSpec, which: str, t: float) -> tuple[np.ndarray, int]:
+    """The `which` chain's bonds and channel-site count for the encode/decode
+    pipeline at time t, whose codec needs n = 2; t must be finite and real."""
+    if spec.n != 2:
+        raise ValueError("the encode/decode pipeline is defined for n = 2")
+    if not (_is_real(t) and math.isfinite(t)):
         raise ValueError(f"the evolution time t must be finite, got t = {t!r}")
+    omega = _coupling_for(spec, which)
+    return omega.bonds, omega.order - 4
 
 
 def _mean_fidelities(pipeline, target: str) -> np.ndarray:
@@ -425,21 +434,14 @@ def average_fidelity_bruteforce(spec: ChainSpec, encoding, t: float,
     output is compared against ("identity" or "z"); by default the NDFS
     encoding is compared against its deterministic Z-corrected target.
     """
-    if spec.n != 2:
-        raise ValueError("the encode/decode pipeline is defined for n = 2")
-    _check_finite_time(t)
-    omega = _coupling_for(spec, which)
-    n_channel = omega.order - 4  # sites that are neither L nor R register
+    bonds, n_channel = _pipeline_chain(spec, which, t)
     if channel_init == "maximally-mixed":
         channel_states = np.arange(1 << n_channel)
+    elif _is_int(channel_init) and 0 <= channel_init < 1 << n_channel:
+        channel_states = [int(channel_init)]
     else:
-        if not isinstance(channel_init, (int, np.integer)) or isinstance(channel_init, bool):
-            raise ValueError("channel_init must be 'maximally-mixed' or an integer basis "
-                             f"state, got {channel_init!r}")
-        c = int(channel_init)
-        if not 0 <= c < (1 << n_channel):
-            raise ValueError(f"channel basis state {c} out of range")
-        channel_states = [c]
+        raise ValueError("channel_init must be 'maximally-mixed' or an integer basis state "
+                         f"in [0, {1 << n_channel}), got {channel_init!r}")
 
     target = logical_target or _default_target(encoding)
     if target not in ("identity", "z"):
@@ -447,7 +449,7 @@ def average_fidelity_bruteforce(spec: ChainSpec, encoding, t: float,
 
     lams = deph.draw() if deph is not None and deph.sigma_lambda > 0 else np.zeros(1)
     return float(np.mean(_mean_fidelities(
-        _run_pipeline(omega.bonds, encoding, t, channel_states, lams), target)))
+        _run_pipeline(bonds, encoding, t, channel_states, lams), target)))
 
 
 @dataclass(frozen=True)
@@ -482,24 +484,23 @@ def dephasing_protection_report(spec: ChainSpec, deph: DephasingModel, t: float,
     decoded coherence is not the |dn,dn>/|up,up> phase alone), so t must
     equal spec.tau to a relative 1e-9; any other t, or a non-finite one,
     raises ValueError, as does a model with fewer than 2 samples (no
-    standard error).
+    standard error) or a spec whose registers are not n = 2.
     """
-    _check_finite_time(t)
+    bonds, n_channel = _pipeline_chain(spec, which, t)
     if not abs(t - spec.tau) <= 1e-9 * spec.tau:
         raise ValueError(f"the NDFS prediction holds only at t = tau = {spec.tau!r}, got t = {t!r}")
     if deph.samples < 2:
         raise ValueError("the NDFS check needs samples >= 2 for a standard error, "
                          f"got {deph.samples}")
     lams = np.concatenate(([0.0], deph.draw()))  # row 0 is the undephased run
-    omega = _coupling_for(spec, which)
-    channel_states = np.arange(1 << (omega.order - 4))
+    channel_states = np.arange(1 << n_channel)
 
-    f = _mean_fidelities(_run_pipeline(omega.bonds, "dfs", t, channel_states, lams), "identity")
+    f = _mean_fidelities(_run_pipeline(bonds, "dfs", t, channel_states, lams), "identity")
     dev = float(np.max(np.abs(f[1:] - f[0])))
 
     # NDFS coherence of the |+> input, whose output is (x = 0 + x = 1)/sqrt 2 by
     # linearity; the ratio to the undephased run drops that normalisation
-    q, dephase = _run_pipeline(omega.bonds, "ndfs", t, channel_states, lams)
+    q, dephase = _run_pipeline(bonds, "ndfs", t, channel_states, lams)
     plus = q.sum(axis=2)
     coh = dephase(plus[0] * np.conj(plus[1])).mean(axis=1)
     shots = coh[1:] / coh[0]

@@ -16,11 +16,13 @@ matrix elements, and the mirror-inversion error of Delta_eff(tau) against
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .fidelity import RegisterElements
-from .model import ChainSpec, CouplingMatrix, build_effective_coupling_matrix
+from .model import ChainSpec, CouplingMatrix, _is_real, build_effective_coupling_matrix
 
 __all__ = [
     "eigendecompose",
@@ -46,7 +48,10 @@ def eigendecompose(omega: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def propagator_at(decomp: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
-    """Delta(t) = V exp(-i lambda t) V^T from `eigendecompose`'s (w, v)."""
+    """Delta(t) = V exp(-i lambda t) V^T from `eigendecompose`'s (w, v);
+    ValueError for a t that is not a finite real number (`_is_real`)."""
+    if not (_is_real(t) and math.isfinite(t)):
+        raise ValueError(f"the time t must be a finite real number, got t = {t!r}")
     w, v = decomp
     return (v * np.exp(-1j * w * t)) @ v.T
 
@@ -66,6 +71,8 @@ def dense_register_elements(omega: CouplingMatrix, t: float) -> RegisterElements
 
 def closed_form_effective_elements(g0: float, t: float) -> tuple[complex, complex, complex]:
     """Weak-coupling closed forms for n = 2: (Delta_R1L1, Delta_R2L2, Delta_R1L2)."""
+    if not all(_is_real(x) and math.isfinite(x) for x in (g0, t)):
+        raise ValueError(f"g0 and t must be finite real numbers, got g0 = {g0!r}, t = {t!r}")
     c1, c2 = np.cos(g0 * t), np.cos(2 * g0 * t)
     s1, s2 = np.sin(g0 * t), np.sin(2 * g0 * t)
     d_r1l1 = (3.0 - 4.0 * c1 + c2) / 8.0

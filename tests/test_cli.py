@@ -9,6 +9,7 @@ import os
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -104,6 +105,62 @@ def _run(argv, config, call):
                 return call(argv), out.getvalue()
             except SystemExit as exc:
                 return exc, out.getvalue()
+
+
+def _reference_is_number(value, integer: bool = False) -> bool:
+    """The number rule `cli` kept for itself before it called `model`'s
+    predicates, as it stood then: the reference `_reference_valid` uses."""
+    kinds = int if integer else (int, float)
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range is fine only where ints go
+        return integer
+
+
+def _reference_valid(key: str, value) -> bool:
+    """`cli._valid` as it stood with `_reference_is_number`."""
+    default = cli._DEFAULTS[key]
+    if key == "time":
+        return value == "tau" or _reference_is_number(value)
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_reference_is_number(v, integer=True)
+                                               for v in value)
+    if key in cli._CHOICES:
+        return value in cli._CHOICES[key]
+    if isinstance(default, (bool, str)):
+        return type(value) is type(default)
+    return _reference_is_number(value, integer=isinstance(default, int))
+
+
+def _config_exit_code(command: str, key: str, text: str) -> int:
+    """0 if `parse_config` accepts a --config file holding {key: text}, else its exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.json")
+        with open(path, "w") as fh:
+            fh.write(f'{{"{key}": {text}}}')
+        try:
+            with redirect_stderr(io.StringIO()):
+                parse_config([command, "--config", path])
+        except SystemExit as exc:
+            return exc.code
+        return 0
+
+
+# JSON text of every kind: ints of any size (past the float range, and past
+# the interpreter's 4300-digit limit on int literals), floats with 1e400 and
+# the NaN/Infinity that json reads, bools, null, strings, arrays and objects
+_BIG_INTS = ["1" + "0" * 400, "-1" + "0" * 400, "3" + "0" * 400 + "1", "1" * 5000]
+_JSON_SCALARS = st.one_of(
+    st.integers(-3, 21).map(str), st.integers().map(str), st.sampled_from(_BIG_INTS),
+    st.floats().map(json.dumps), st.sampled_from(["1e400", "-1e400", "3.0", "1e-3"]),
+    st.sampled_from(["true", "false", "null", "{}", '{"a": 1}']),
+    st.sampled_from(["tau", "2.5", "3", "soon", ""]).map(json.dumps))
+_JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=2).map(
+    lambda items: "[" + ", ".join(items) + "]"))
 
 
 class TestParseConfig:
@@ -300,6 +357,24 @@ class TestParseConfig:
         assert max(cfg.channel_lengths) <= cli.MAX_CHANNEL_LENGTH
         assert len(cfg.channel_lengths) * cfg.ratio_steps <= cli.MAX_GRID_POINTS
         assert cfg.tolerance_scale >= 0  # a negative tolerance can never pass
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.sampled_from([("verify", "seed"), ("sweep", "ratio_min"), ("sweep", "time"),
+                                 ("sweep", "channel_lengths")]),
+           text=_JSON_VALUES)
+    @example(case=("sweep", "ratio_min"), text="NaN")
+    @example(case=("sweep", "ratio_min"), text=_BIG_INTS[0])
+    @example(case=("sweep", "time"), text="1e400")
+    @example(case=("verify", "seed"), text=_BIG_INTS[0])
+    @example(case=("sweep", "channel_lengths"), text=f"[3, {_BIG_INTS[2]}]")
+    def test_number_rule_verdicts_match_the_reference(self, case, text):
+        # `model`'s predicates give every --config value the accept-or-exit-2
+        # verdict of the rule `cli` kept for itself before
+        got = _config_exit_code(*case, text)
+        with mock.patch.object(cli, "_valid", _reference_valid):
+            expected = _config_exit_code(*case, text)
+        assert got == expected and got in (0, 2)
 
 
 class TestSweepCommand:

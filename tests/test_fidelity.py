@@ -163,15 +163,19 @@ def scale_register_bonds(omega, left, right):
     return CouplingMatrix(bonds=bonds, n=omega.n)
 
 
+def spectrum(b):
+    """`fidelity._spectra` of the one chain with bonds b."""
+    return fidelity._spectra(b[None])[0]
+
+
 def one_shot_register_elements(omega, t):
     """`register_elements` with the whole p x p gap matrix of the positive
     half-spectrum formed at once: the reference the row-blocked form must
-    reproduce bit for bit.  It takes the same eigenvalues
-    (`fidelity._spectrum`), which `TestSpectrum` and the mpmath tests check
-    on their own."""
+    reproduce bit for bit.  It takes the same eigenvalues (`spectrum`),
+    which `TestSpectrum` and the mpmath tests check on their own."""
     b = omega.bonds
     m = omega.order
-    sig = fidelity._spectrum(b)
+    sig = spectrum(b)
     z = m - 2 * len(sig)
     with np.errstate(all="ignore"):
         total = np.add.outer(sig, sig)
@@ -511,7 +515,7 @@ class TestSpectrum:
         m = len(bonds) + 1
         reference = eigh_tridiagonal(np.zeros(m), bonds, eigvals_only=True) if m > 1 else [0.0]
         scale = np.abs(bonds).max(initial=0.0)
-        np.testing.assert_allclose(fidelity._spectrum(bonds), reference[m - m // 2:], rtol=0,
+        np.testing.assert_allclose(spectrum(bonds), reference[m - m // 2:], rtol=0,
                                    atol=8 * np.sqrt(m) * np.finfo(float).eps * scale)
 
     @settings(max_examples=200, deadline=None)
@@ -529,7 +533,7 @@ class TestSpectrum:
         stacked = fidelity._spectra(b)
         assert stacked.shape == (len(b), (b.shape[1] + 1) // 2)
         for row, alone in zip(stacked, b):
-            assert row.tobytes() == fidelity._spectrum(alone.copy()).tobytes()
+            assert row.tobytes() == spectrum(alone.copy()).tobytes()
 
     def test_mirror_symmetric_chain_is_solved_in_two_halves(self, monkeypatch):
         orders = record_dlasq1_orders(monkeypatch)
@@ -548,7 +552,7 @@ class TestSpectrum:
 
         monkeypatch.setattr(fidelity, "_dlasq1", failed)
         with pytest.raises(LinAlgError, match="info = 3"):
-            fidelity._spectrum(np.ones(4))
+            spectrum(np.ones(4))
 
     def test_binding_checks_the_c_signature(self):
         # dsterf takes one array fewer than dlasq1; an ABI that spells the
