@@ -75,9 +75,9 @@ _CHOICES = {"encoding": ("dfs", "ndfs", "both"), "format": ("csv", "json")}
 # Work budget of `sweep`: a point at channel length N takes O(N^2) time
 # (about 0.4 s at N = 10001 on a 2-core x86-64 host, in O(N) memory), and the
 # ratio grid is 8 bytes per step.  A grid of several ratios at the cap runs
-# two points at a time on that host: 2 ratios took 0.48 s instead of 0.88 s
-# serially, at a peak RSS of 64 MB instead of 61 MB.  Larger inputs are a
-# usage error, before any work starts.
+# two points at a time on that host: 2 ratios, one point a task, took 0.48 s
+# instead of 0.88 s serially, at a peak RSS of 64 MB instead of 61 MB.
+# Larger inputs are a usage error, before any work starts.
 MAX_CHANNEL_LENGTH = 10001
 MAX_GRID_POINTS = 10 ** 5  # len(channel_lengths) * ratio_steps
 
@@ -91,6 +91,10 @@ def _flag_kwargs(key: str) -> dict:
         return {"type": int, "nargs": "+"}
     if isinstance(default, (int, float)):
         return {"type": type(default)}
+    if key == "time":  # "tau" or a number; argparse names the function in its error
+        def tau_or_float(text: str) -> str | float:
+            return text if text == "tau" else float(text)
+        return {"type": tau_or_float}
     return {"choices": _CHOICES[key]} if key in _CHOICES else {}
 
 
@@ -112,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _valid(key: str, value) -> bool:
     """Whether a flag or config value has its default's type and, if a number, is finite."""
     default = _DEFAULTS[key]
-    if key == "time":
+    if key == "time":  # "tau" or a number; argparse names the function in its error
         return value == "tau" or _is_real(value) and math.isfinite(value)
     if default is None:
         return value is None or isinstance(value, str)
@@ -153,11 +157,6 @@ def parse_config(argv) -> RunConfig:
         if val is not None:
             merged[key] = val
 
-    if isinstance(merged["time"], str) and merged["time"] != "tau":
-        try:
-            merged["time"] = float(merged["time"])
-        except ValueError:
-            pass  # still a string, so rejected below
     # validation; any violation is a usage error (exit 2)
     for key, value in merged.items():
         if not _valid(key, value):

@@ -168,7 +168,7 @@ def _spectra(b: np.ndarray) -> np.ndarray:
         return _singular_values(b)[:, ::-1].copy()
     both = all(flags)
     pal = b if both else b[mirror]
-    if k % 2:
+    if k % 2:  # dsterf, not a dense eigvalsh: O(M) scratch, not O(M^2)
         half = np.empty((len(pal), c + 1))
         diag = np.zeros(c + 1)
         for i, row in enumerate(pal):
@@ -403,7 +403,7 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class SweepResult:
+class SweepResult:  # kept: bench/workloads.py reads `.rows`
     rows: tuple[SweepRow, ...]
 
 
@@ -454,13 +454,19 @@ def _point_fidelities(specs: list[ChainSpec], t_choice,
             for i, (spec, t) in enumerate(zip(specs, ts)) for enc, f in zip(encodings, fids)]
 
 
-# chains of at least this many sites (N + 4) run their ratios on a thread
+# chains of at least this many sites (N + 4) run their stacks on a thread
 # pool: a point's dqds call and gap sums release the GIL, so points overlap,
 # but its Python steps do not, and opening and closing the pool costs about
-# 0.3 ms.  Pooled over serial wall time for 10 ratios on a 2-core x86-64
-# host (medians of 30 interleaved runs): 1.17 at 305 sites, 0.98 at 405,
-# 0.87 at 501, 0.77 at 605; the README grid's chains (105-205 sites) ran
-# 1.2-2.3x slower pooled
+# 0.3 ms.  From 364 sites up a stack is one point.  Pooled over serial wall
+# time on a 2-core x86-64 host, by task size:
+# - one point a task (10 ratios, medians of 30 interleaved runs, taken
+#   before chains were stacked, and the figures the gate was set from):
+#   1.17 at 305 sites, 0.98 at 405, 0.87 at 501, 0.77 at 605;
+# - stacks (40 ratios, series of 30 alternating pairs): at 305 sites (stacks
+#   of two) pooled won 27-30 pairs in 4 of 7 series, at 0.75-0.84, and lost
+#   27-29 in the other 3; at 405, 0.70-0.79 in 4 of 5 series; on the README
+#   grid (105-205 sites, stacks of 24, 11 and 6) it won 18-25 pairs a
+#   series, medians within 10 %: inside the host's noise
 _POOL_MIN_ORDER = 500
 
 
@@ -493,6 +499,7 @@ def sweep_fidelity(n: int, N_list, ratio_grid, t_choice="tau",
     Only two-qubit registers (n = 2) are supported: the fidelity formulas
     and `register_elements` are the n = 2 ones.
     """
+    # n stays a parameter, though only 2 is valid: bench/workloads.py calls sweep_fidelity(2, ...)
     if n != 2:
         raise ValueError(f"the sweep evaluates the n = 2 fidelity formulas, got n = {n}")
     N_list, ratios = list(N_list), list(ratio_grid)

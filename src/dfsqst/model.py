@@ -41,8 +41,6 @@ __all__ = [
     "build_full_coupling_matrix",
     "build_full_bonds",
     "build_effective_coupling_matrix",
-    "channel_spectrum",
-    "mode_couplings",
 ]
 
 
@@ -158,16 +156,4 @@ def build_effective_coupling_matrix(spec: ChainSpec) -> CouplingMatrix:
     reg = np.asarray(spec.g_u[:n - 1])
     off = np.concatenate([reg, [spec.t_kappa, spec.t_kappa], reg[::-1]])
     return CouplingMatrix(bonds=off, n=n)
-
-
-def channel_spectrum(spec: ChainSpec) -> np.ndarray:
-    """Collective-mode energies eps_k = 2 g_C cos(k pi/(N+1)), k = 1..N."""
-    k = np.arange(1, spec.N + 1)
-    return 2.0 * spec.g_C * np.cos(k * np.pi / (spec.N + 1))
-
-
-def mode_couplings(spec: ChainSpec) -> np.ndarray:
-    """Register-to-mode couplings t_k = g_I sqrt(2/(N+1)) sin(k pi/(N+1))."""
-    k = np.arange(1, spec.N + 1)
-    return spec.g_I * np.sqrt(2.0 / (spec.N + 1)) * np.sin(k * np.pi / (spec.N + 1))
 

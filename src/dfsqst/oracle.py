@@ -77,7 +77,8 @@ DFS_TOL = 1e-10
 
 # The four two-dimensional register subspaces that are neither the DFS nor
 # the NDFS pair; each entry is ((bit_1, bit_2) for logical 0 and 1), where
-# bit_1/bit_2 are the first/second register qubit (up = 1).
+# bit_1/bit_2 are the first/second register qubit (up = 1).  Kept public:
+# acceptance criterion 8 is stated over exactly these four.
 REMAINING_SUBSPACES = (
     ((0, 0), (0, 1)),
     ((0, 0), (1, 0)),

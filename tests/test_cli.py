@@ -193,14 +193,31 @@ class TestParseConfig:
             parse_config(["sweep", "--frobnicate"])
         assert exc.value.code == 2
 
-    def test_bad_time_rejected(self):
+    def test_bad_time_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_config(["sweep", "--time", "soon"])
         assert exc.value.code == 2
+        # a numeric string in --config is not a number, for time as for every
+        # other option; it used to run as its value
+        cfg_file, out = tmp_path / "run.json", tmp_path / "out.csv"
+        cfg_file.write_text(json.dumps({"time": "2.5"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--channel-lengths", "3", "--config", str(cfg_file),
+                  "--output", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists() and capsys.readouterr().out == ""
 
-    def test_explicit_time_parsed(self):
+    def test_explicit_time_parsed(self, tmp_path):
         cfg = parse_config(["sweep", "--time", "12.5"])
         assert cfg.time == 12.5
+        cfg_file, out = tmp_path / "run.json", tmp_path / "out.csv"
+        for config, flags, time in [({"time": 2.5}, [], 2.5), ({"time": "tau"}, [], "tau"),
+                                    ({}, ["--time", "2.5"], 2.5)]:
+            cfg_file.write_text(json.dumps(config))
+            argv = ["sweep", "--channel-lengths", "3", "--ratio-steps", "1",
+                    "--config", str(cfg_file), *flags, "--output", str(out)]
+            assert parse_config(argv).time == time
+            assert main(argv) == 0
 
     def test_config_file_and_override(self, tmp_path):
         cfg_file = tmp_path / "run.json"
@@ -262,6 +279,8 @@ class TestParseConfig:
         ["verify", "--sigma-lambda", "inf"],
         ["verify", "--sigma-lambda", "nan"],
         ["verify", "--seed", "-1"],
+        ["oracle", "--n", "0"],
+        ["phases", "--n", "0"],
     ])
     def test_non_finite_or_out_of_range_flag_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:

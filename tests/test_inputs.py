@@ -4,6 +4,8 @@ with a result or a ValueError, never another exception.
 
 Records (`ChainSpec`, `CouplingMatrix`, `RegisterElements`) and the entries
 that only take them are not probed: they carry numbers another entry made.
+A value outside an argument's own set (a size past a cap, an unknown
+choice) is a ValueError too.
 """
 
 import dataclasses
@@ -129,3 +131,15 @@ def test_sweep_time_must_be_a_real_number(t):
 def test_non_finite_sweep_time_is_a_non_finite_point(t):
     with pytest.raises(ValueError, match="non-finite result at N = 3"):
         sweep_fidelity(2, [3], [0.1], t_choice=t)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: phase_table(4), "capped at n = 3"),
+    (lambda: average_fidelity_bruteforce(SPEC, "dfs", SPEC.tau, which="middle"),
+     "which must be 'full' or 'effective'"),
+    (lambda: average_fidelity_bruteforce(SPEC, "dfs", SPEC.tau, logical_target="x"),
+     "unknown logical target"),
+], ids=["phase_table-n4", "bruteforce-which", "bruteforce-logical_target"])
+def test_value_outside_its_set_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dfsqst.model import (ChainSpec, derive_parameters, build_full_coupling_matrix,
-                          build_effective_coupling_matrix, channel_spectrum,
-                          mode_couplings)
+                          build_effective_coupling_matrix)
 from dense_reference import dense, jx_matrix
 
 
@@ -147,30 +146,3 @@ class TestEffectiveCouplingMatrix:
         spec = derive_parameters(n=2, N=3, g_C=1.0, g_I=0.1)
         w = np.linalg.eigvalsh(dense(build_effective_coupling_matrix(spec)))
         np.testing.assert_allclose(w, spec.g0 * np.arange(-2, 3), atol=1e-14)
-
-
-class TestChannelModes:
-    def test_spectrum_N3(self):
-        spec = derive_parameters(n=1, N=3, g_C=1.0, g_I=0.1)
-        np.testing.assert_allclose(channel_spectrum(spec), [np.sqrt(2), 0.0, -np.sqrt(2)],
-                                   atol=1e-14)
-
-    @pytest.mark.parametrize("N", [1, 3, 5, 51, 101])
-    def test_zero_mode_and_antisymmetry(self, N):
-        spec = derive_parameters(n=1, N=N, g_C=1.0, g_I=0.1)
-        eps = channel_spectrum(spec)
-        assert abs(eps[spec.kappa - 1]) <= 1e-14
-        np.testing.assert_allclose(eps, -eps[::-1], atol=1e-14)
-
-    def test_mode_couplings_N3(self):
-        spec = derive_parameters(n=1, N=3, g_C=1.0, g_I=1.0)
-        t = mode_couplings(spec)
-        np.testing.assert_allclose(t, [0.5, 1 / np.sqrt(2), 0.5], atol=1e-15)
-
-    @pytest.mark.parametrize("N", [3, 7, 21])
-    def test_coupling_symmetry_and_max(self, N):
-        spec = derive_parameters(n=1, N=N, g_C=1.0, g_I=0.3)
-        t = mode_couplings(spec)
-        np.testing.assert_allclose(t, t[::-1], atol=1e-14)
-        assert np.argmax(t) == spec.kappa - 1
-        assert t[spec.kappa - 1] == pytest.approx(spec.t_kappa, abs=1e-15)

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dfsqst.model import (CouplingMatrix, derive_parameters,
-                          build_full_coupling_matrix, build_effective_coupling_matrix,
-                          channel_spectrum)
+                          build_full_coupling_matrix, build_effective_coupling_matrix)
 from dfsqst.propagator import (MIRROR_TOL, eigendecompose, propagator_at,
                                closed_form_effective_elements, mirror_inversion_error)
 from dense_reference import dense, kappa_parity
@@ -54,7 +53,8 @@ class TestEigendecompose:
         cut = CouplingMatrix(bonds=bonds, n=n)
         w, _ = eigendecompose(cut)
         reg = np.linalg.eigvalsh(dense(cut)[:n, :n])
-        expected = np.sort(np.concatenate([reg, reg, channel_spectrum(spec)]))
+        channel = np.linalg.eigvalsh(dense(cut)[n:-n, n:-n])
+        expected = np.sort(np.concatenate([reg, reg, channel]))
         np.testing.assert_allclose(w, expected, atol=1e-12)
 
     def test_rejects_nonfinite(self):
