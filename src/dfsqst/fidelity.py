@@ -39,7 +39,7 @@ exp(-i sigma t) taken over the positive half only and conjugated for
 Each chain keeps its own choice of gap form.  A stack holds as many chains
 as fit their whole gap matrices into one block of `_GAP_CELLS` cells, so
 the scratch memory stays O(M), and a chain gets the same bits in any
-stack; `register_elements` is the stack of one.  A chain of at least
+stack; `register_elements` stacks one chain.  A chain of at least
 `_POOL_MIN_ORDER` sites, whose stacks are single points, runs its ratios on
 a thread pool of one worker per usable CPU, since the dqds call and the gap
 sums release the GIL; shorter chains, single-ratio grids and one-CPU
@@ -190,7 +190,7 @@ def _spectra(b: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class RegisterElements:
     """The four register-to-register propagator elements for n = 2: complex
-    numbers, or arrays of them, one entry a chain of a stack."""
+    numbers, or arrays of them, one entry a chain of a stack or a time."""
 
     d_r1l1: complex | np.ndarray
     d_r2l2: complex | np.ndarray
@@ -198,7 +198,7 @@ class RegisterElements:
     d_r2l1: complex | np.ndarray
 
 
-def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
+def register_elements(omega: CouplingMatrix, t) -> RegisterElements:
     """The four n = 2 register elements of exp(-i Omega t) from the eigenvalues alone.
 
     For a Jacobi matrix (zero diagonal, bonds b_1..b_{M-1} on sites 1..M)
@@ -232,23 +232,27 @@ def register_elements(omega: CouplingMatrix, t: float) -> RegisterElements:
     gets its own log instead, so no gap loses digits as a subnormal or drops
     a mode as an overflow.  The p^2 = M^2/4 products are taken in row blocks
     of at most `_GAP_CELLS` cells, so the scratch memory is O(M).
-    Requires registers of at least two sites (L1, L2 first, R2, R1 last)
-    and no zero bond (which would make eigenvalues degenerate); the diagonal
-    is zero because a `CouplingMatrix` has none.  Where the sums leave the float
-    range the elements come out inf or nan, silently; callers check.  This
-    is `_register_stack` on a stack of one chain.
+    The diagonal is zero because a `CouplingMatrix` has none.  Where the
+    sums leave the float range the elements come out inf or nan, silently;
+    callers check.  A 1-D sequence t gives arrays, one entry a time, run as
+    stacks of up to `_stack_size(M)` copies of the chain, each the scalar call's bits.
 
-    Raises ValueError for registers of fewer than two sites, a zero or
-    non-finite bond, or a time t that is not a real number (`_is_real`: a
-    bool, a numeric string or an int beyond the float range is refused; an
-    inf or nan t is taken, and gives non-finite elements).
+    Raises ValueError for registers of fewer than two sites (L1, L2 first,
+    R2, R1 last), a zero bond (which makes eigenvalues degenerate), a
+    non-finite bond, or a t that is neither a real number nor a 1-D sequence
+    of them (`_is_real`: a bool, a numeric string or an int beyond the float
+    range is refused; an inf or nan t is taken, and gives non-finite elements).
     """
     if omega.n < 2:
         raise ValueError("register_elements needs the sites L1, L2, ..., R2, R1")
-    if not _is_real(t):
-        raise ValueError(f"the time t must be a real number, got t = {t!r}")
-    e = _register_stack(omega.bonds[None], np.array([t], dtype=float))[0]
-    return RegisterElements(e[0], e[1], e[2], e[3])
+    times = [t] if _is_real(t) else t
+    if np.ndim(times) != 1 or not all(map(_is_real, times)):
+        raise ValueError(f"the time t must be a real number or a 1-D sequence of them, got {t!r}")
+    times, size = np.array(times, dtype=float), _stack_size(omega.order)
+    parts = [_register_stack(omega.bonds[None].repeat(len(ts), 0), ts)
+             for ts in (times[k:k + size] for k in range(0, len(times), size))]
+    e = np.concatenate(parts) if parts else np.empty((0, 4), dtype=complex)
+    return RegisterElements(*(e[0] if _is_real(t) else e.T))
 
 
 def _stack_size(m: int) -> int:

@@ -75,6 +75,23 @@ class CouplingMatrix:
     bonds: np.ndarray
     n: int  # register sites at each end
 
+    def __post_init__(self):
+        """ValueError for an n that is not an integer >= 1 (`_is_int`), bonds
+        that are not a 1-D array of real, non-bool numbers (a list or tuple
+        of `_is_real` numbers is taken as floats) or an order below 2n; the
+        bonds are stored as floats.  Finiteness stays the engines' test."""
+        if not _is_int(self.n) or self.n < 1:
+            raise ValueError(f"register size n must be an integer >= 1, got {self.n!r}")
+        bonds = self.bonds
+        if isinstance(bonds, (list, tuple)) and all(map(_is_real, bonds)):
+            bonds = np.array(bonds, dtype=float)
+        if not (isinstance(bonds, np.ndarray) and bonds.ndim == 1 and bonds.dtype.kind in "iuf"):
+            raise ValueError(f"bonds must be a 1-D array of real numbers, got {self.bonds!r}")
+        if len(bonds) + 1 < 2 * self.n:
+            raise ValueError(f"a chain of order {len(bonds) + 1} has no room for two "
+                             f"registers of n = {self.n} sites")
+        object.__setattr__(self, "bonds", bonds.astype(float, copy=False))
+
     @property
     def order(self) -> int:
         return len(self.bonds) + 1

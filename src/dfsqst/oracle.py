@@ -313,8 +313,11 @@ def _encoding_pairs(encoding):
         return ((0, 1), (1, 0))
     if encoding == "ndfs":
         return ((0, 0), (1, 1))
-    pair = tuple(map(tuple, encoding))
-    if len(pair) != 2 or pair[0] == pair[1] or not set(pair) <= set(_PATTERNS):
+    try:
+        pair = tuple(map(tuple, encoding))
+    except TypeError:  # not a sequence of sequences, such as an int
+        pair = ()
+    if len(pair) != 2 or pair[0] == pair[1] or not all(p in _PATTERNS for p in pair):
         raise ValueError(f"encoding must be 'dfs', 'ndfs' or two distinct bit pairs, "
                          f"got {encoding!r}")
     return pair

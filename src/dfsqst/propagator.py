@@ -69,10 +69,13 @@ def dense_register_elements(omega: CouplingMatrix, t: float) -> RegisterElements
                             d_r1l2=d[-1, 1], d_r2l1=d[-2, 0])
 
 
-def closed_form_effective_elements(g0: float, t: float) -> tuple[complex, complex, complex]:
-    """Weak-coupling closed forms for n = 2: (Delta_R1L1, Delta_R2L2, Delta_R1L2)."""
-    if not all(_is_real(x) and math.isfinite(x) for x in (g0, t)):
+def closed_form_effective_elements(g0: float, t) -> tuple:
+    """Weak-coupling closed forms for n = 2: (Delta_R1L1, Delta_R2L2, Delta_R1L2),
+    at one time t or at each time of a 1-D sequence t (then arrays)."""
+    times = [t] if _is_real(t) else t
+    if not (np.ndim(times) == 1 and all(_is_real(x) and math.isfinite(x) for x in (g0, *times))):
         raise ValueError(f"g0 and t must be finite real numbers, got g0 = {g0!r}, t = {t!r}")
+    t = np.asarray(t, dtype=float)
     c1, c2 = np.cos(g0 * t), np.cos(2 * g0 * t)
     s1, s2 = np.sin(g0 * t), np.sin(2 * g0 * t)
     d_r1l1 = (3.0 - 4.0 * c1 + c2) / 8.0

@@ -583,6 +583,19 @@ class TestVerifyCommand:
         failed = [c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]]
         assert failed == ["closed_form_match", "unitarity", "formula_vs_oracle"]
 
+    def test_each_time_grid_is_one_engine_call(self, tmp_path, monkeypatch):
+        # closed_form_match runs its 1000 times and formula_vs_oracle its 4 as
+        # one array call each; unitarity calls once per n = 2 spec, at one time
+        engine, calls = cli.register_elements, []
+
+        def recorded(omega, t):
+            calls.append(np.shape(t))
+            return engine(omega, t)
+
+        monkeypatch.setattr(cli, "register_elements", recorded)
+        assert main(["verify", "--output", str(tmp_path / "report.json")]) == 0
+        assert [shape for shape in calls if shape] == [(1000,), (4,)]
+
     @pytest.mark.parametrize("mutation", ["d_r1l1", "d_r2l2", "d_r1l2", "d_r2l1", "conjugate"])
     def test_wrong_sweep_engine_element_fails(self, tmp_path, monkeypatch, mutation):
         # one element's sign flipped, or all four conjugated; conjugation

@@ -564,6 +564,85 @@ class TestSpectrum:
         assert fidelity._lapack_routine("dlasq1", fidelity._DLASQ1_SIGNATURE)
 
 
+@st.composite
+def time_grid_chains(draw):
+    """An n = 2 chain of each kind the engine solves its own way: the
+    effective chain, a full chain, any signed bonds, or a mirror chain of
+    even order (the dsterf route)."""
+    kind = draw(st.sampled_from(["effective", "full", "signed", "even mirror"]))
+    if kind in ("effective", "full"):
+        spec = derive_parameters(2, draw(st.sampled_from([1, 3, 11, 101])), 1.0,
+                                 10.0 ** draw(st.floats(-3.0, 1.0)))
+        return (build_effective_coupling_matrix(spec) if kind == "effective"
+                else build_full_coupling_matrix(spec))
+    if kind == "signed":
+        return CouplingMatrix(np.array(draw(st.lists(signed_bonds, min_size=3, max_size=30))), 2)
+    half = draw(st.lists(signed_bonds, min_size=1, max_size=15))
+    return CouplingMatrix(np.array(half + [draw(signed_bonds)] + half[::-1]), 2)
+
+
+class TestTimeArrays:
+    """`register_elements` on a sequence of times runs them as stacks of the
+    one chain; each entry is the bits the scalar call gives."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(omega=time_grid_chains(),
+           times=st.lists(st.floats(-50.0, 50.0) | st.sampled_from([0.0, math.inf, math.nan]),
+                          max_size=12),
+           cells=st.sampled_from(["1", "7", "p^2", "3p^2 + 5", "default"]),
+           container=st.sampled_from([list, tuple, np.array]))
+    # 12 times in stacks of 3: four whole stacks; and the empty array
+    @example(omega=build_full_coupling_matrix(derive_parameters(2, 3, 1.0, 0.1)),
+             times=[0.1 * k for k in range(12)], cells="3p^2 + 5", container=np.array)
+    @example(omega=build_full_coupling_matrix(derive_parameters(2, 3, 1.0, 0.1)),
+             times=[], cells="default", container=np.array)
+    def test_each_time_is_the_scalar_call(self, omega, times, cells, container):
+        alone = [element_bits(register_elements(omega, t)) for t in times]
+        with pytest.MonkeyPatch.context() as patch:
+            if cells != "default":
+                patch.setattr(fidelity, "_GAP_CELLS", gap_cells(cells, omega.order // 2))
+            e = register_elements(omega, container(times))
+        for name in ELEMENT_NAMES:
+            assert getattr(e, name).shape == (len(times),)
+        assert [element_bits(RegisterElements(*row)) for row in zip(*vars(e).values())] == alone
+
+    def test_a_long_chain_runs_one_time_a_stack(self):
+        # from N = 497 (501 sites, p = 250) a stack holds one chain
+        spec = derive_parameters(2, 497, 1.0, 0.05)
+        omega = build_full_coupling_matrix(spec)
+        assert fidelity._stack_size(omega.order) == 1
+        times = [0.3 * spec.tau, spec.tau, 1.7 * spec.tau]
+        e = register_elements(omega, times)
+        assert ([element_bits(RegisterElements(*row)) for row in zip(*vars(e).values())]
+                == [element_bits(register_elements(omega, t)) for t in times])
+
+    def test_a_scalar_time_gives_the_one_row_stack(self):
+        omega = build_full_coupling_matrix(derive_parameters(2, 11, 1.0, 0.2))
+        e = register_elements(omega, 1.3)
+        row = fidelity._register_stack(omega.bonds[None], np.array([1.3]))[0]
+        assert all(type(v) is np.complex128 for v in vars(e).values())
+        assert element_bits(e) == element_bits(RegisterElements(*row))
+
+    @pytest.mark.parametrize("t", [np.ones((2, 2)), [[1.0]], np.empty((0, 3)), [1.0, True],
+                                   [1.0, "2.5"], [1.0, 10 ** 400], [1.0, None], np.array(1.0),
+                                   "2.5", None],
+                             ids=["2-D", "nested", "2-D empty", "bool entry", "string entry",
+                                  "big int entry", "None entry", "0-d array", "string", "None"])
+    def test_a_time_that_is_no_real_or_1d_sequence_is_refused(self, t):
+        spec = derive_parameters(2, 3, 1.0, 0.1)
+        with pytest.raises(ValueError, match="the time t must be"):
+            register_elements(build_full_coupling_matrix(spec), t)
+        with pytest.raises(ValueError, match="g0 and t must be"):
+            closed_form_effective_elements(spec.g0, t)
+
+    def test_closed_form_on_an_array_is_the_scalar_calls(self):
+        spec = derive_parameters(2, 3, 1.0, 0.1)
+        times = np.linspace(0.0, 2 * spec.tau, 50)
+        arrays = closed_form_effective_elements(spec.g0, times)
+        for k, t in enumerate(times):
+            assert [a[k] for a in arrays] == list(closed_form_effective_elements(spec.g0, t))
+
+
 # the shortest odd channel whose chain (N + 4 sites) reaches the pool gate
 GATE_N = (fidelity._POOL_MIN_ORDER - 4) | 1
 

@@ -2,10 +2,11 @@
 of `model`, `fidelity`, `propagator` and `oracle` takes a hostile scalar
 with a result or a ValueError, never another exception.
 
-Records (`ChainSpec`, `CouplingMatrix`, `RegisterElements`) and the entries
-that only take them are not probed: they carry numbers another entry made.
-A value outside an argument's own set (a size past a cap, an unknown
-choice) is a ValueError too.
+Records (`ChainSpec`, `RegisterElements`) and the entries that only take
+them are not probed: they carry numbers another entry made.  A
+`CouplingMatrix` checks its own register size, bond array and order.  A
+value outside an argument's own set (a size past a cap, an unknown choice)
+is a ValueError too.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dfsqst.fidelity import default_ratio_grid, register_elements, sweep_fidelity
-from dfsqst.model import build_full_coupling_matrix, derive_parameters
+from dfsqst.model import CouplingMatrix, build_full_coupling_matrix, derive_parameters
 from dfsqst.oracle import (DephasingModel, average_fidelity_bruteforce,
                            dephasing_protection_report, jw_phase_prediction, phase_table)
 from dfsqst.propagator import (closed_form_effective_elements, dense_register_elements,
@@ -139,7 +140,61 @@ def test_non_finite_sweep_time_is_a_non_finite_point(t):
      "which must be 'full' or 'effective'"),
     (lambda: average_fidelity_bruteforce(SPEC, "dfs", SPEC.tau, logical_target="x"),
      "unknown logical target"),
-], ids=["phase_table-n4", "bruteforce-which", "bruteforce-logical_target"])
+    # raised TypeError: 'int' object is not iterable
+    (lambda: average_fidelity_bruteforce(SPEC, 5, SPEC.tau), "encoding must be 'dfs', 'ndfs'"),
+    # raised TypeError: unhashable type: 'list'
+    (lambda: average_fidelity_bruteforce(SPEC, [([0], 1), (1, 0)], SPEC.tau),
+     "encoding must be 'dfs', 'ndfs'"),
+], ids=["phase_table-n4", "bruteforce-which", "bruteforce-logical_target",
+        "bruteforce-encoding", "bruteforce-encoding-unhashable"])
 def test_value_outside_its_set_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+FIVE = np.ones(4)  # the bonds of a chain of order 5
+
+
+def _chain_case(name, bonds, n, message):
+    return pytest.param(bonds, n, message, id=name)
+
+
+@pytest.mark.parametrize("bonds,n,message", [
+    # order below 2n: register_elements raised IndexError, and
+    # dense_register_elements returned a number at order 3
+    _chain_case("order-3-n2", np.array([1.0, 2.0]), 2, "no room for two registers"),
+    _chain_case("order-2-n2", np.array([1.0]), 2, "no room for two registers"),
+    _chain_case("order-1-n1", np.array([]), 1, "no room for two registers"),
+    _chain_case("order-5-n3", FIVE, 3, "no room for two registers"),
+    _chain_case("n-10**400", FIVE, 10 ** 400, "no room for two registers"),
+    _chain_case("n-0", FIVE, 0, "register size n must be an integer >= 1"),
+    _chain_case("n-2.0", FIVE, 2.0, "register size n must be an integer >= 1"),
+    _chain_case("n-True", FIVE, True, "register size n must be an integer >= 1"),
+    _chain_case("n-'2'", FIVE, "2", "register size n must be an integer >= 1"),
+    _chain_case("n-None", FIVE, None, "register size n must be an integer >= 1"),
+    # complex bonds warned and dropped their imaginary parts; 2-D bonds
+    # failed on "too many values to unpack"
+    _chain_case("complex", FIVE + 1j, 2, "1-D array of real numbers"),
+    _chain_case("2-D", np.ones((2, 4)), 1, "1-D array of real numbers"),
+    _chain_case("bool-array", np.ones(4, dtype=bool), 2, "1-D array of real numbers"),
+    _chain_case("string-array", np.array(["1.0"] * 4), 2, "1-D array of real numbers"),
+    _chain_case("object-array", np.array([1.0] * 4, dtype=object), 2, "1-D array of real numbers"),
+    _chain_case("0-d", np.array(1.0), 1, "1-D array of real numbers"),
+    _chain_case("list-bool", [1.0, True, 1.0, 1.0], 2, "1-D array of real numbers"),
+    _chain_case("list-string", [1.0, "2", 1.0, 1.0], 2, "1-D array of real numbers"),
+    _chain_case("list-10**400", [1.0, 10 ** 400, 1.0, 1.0], 2, "1-D array of real numbers"),
+    _chain_case("nested-list", [[1.0, 1.0, 1.0, 1.0]], 1, "1-D array of real numbers"),
+    _chain_case("None", None, 1, "1-D array of real numbers"),
+])
+def test_malformed_chain_is_refused(bonds, n, message):
+    with pytest.raises(ValueError, match=message):
+        CouplingMatrix(bonds, n)
+
+
+def test_bond_list_is_taken_as_floats():
+    # a list raised TypeError in the engine; integer bonds are stored as floats
+    for bonds in ([1, 2, 3, 2, 1], (1, 2.0, np.int64(3), 2.0, 1), np.array([1, 2, 3, 2, 1])):
+        omega = CouplingMatrix(bonds, 2)
+        assert omega.bonds.dtype == np.float64 and omega.bonds.tolist() == [1, 2, 3, 2, 1]
+    as_array = register_elements(CouplingMatrix(np.array([1.0, 2.0, 3.0, 2.0, 1.0]), 2), 1.3)
+    assert register_elements(CouplingMatrix([1, 2, 3, 2, 1], 2), 1.3) == as_array

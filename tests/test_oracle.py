@@ -565,6 +565,23 @@ class TestBruteForceFidelity:
             assert abs(f_dfs(e) - average_fidelity_bruteforce(spec, "dfs", t)) <= 1e-8
             assert abs(f_ndfs(e) - average_fidelity_bruteforce(spec, "ndfs", t)) <= 1e-8
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), L=st.sampled_from([5, 7, 9, 11]))
+    def test_engine_matches_the_oracle_on_random_signed_bonds(self, data, L):
+        # every link random and of either sign, the register bonds too: no
+        # mirror symmetry and no derived profile, as the engine accepts
+        bonds = np.array(data.draw(st.lists(
+            st.builds(lambda s, x: s * x, st.sampled_from([1.0, -1.0]), st.floats(0.05, 2.0)),
+            min_size=L - 1, max_size=L - 1)))
+        times = data.draw(st.lists(st.floats(0.0, 20.0), min_size=1, max_size=4))
+        e = register_elements(CouplingMatrix(bonds, 2), times)
+        channel_states, no_field = np.arange(1 << (L - 4)), np.zeros(1)
+        for encoding, formula in (("dfs", f_dfs), ("ndfs", f_ndfs)):
+            target = oracle._default_target(encoding)
+            expected = [np.mean(oracle._mean_fidelities(oracle._run_pipeline(
+                bonds, encoding, t, channel_states, no_field), target)) for t in times]
+            np.testing.assert_allclose(formula(e), expected, rtol=0, atol=1e-12)
+
     def test_explicit_channel_state(self):
         spec = derive_parameters(2, 3, 1.0, 0.1)
         f = average_fidelity_bruteforce(spec, "dfs", spec.tau, channel_init=0,
