@@ -59,8 +59,8 @@ import numpy as np
 import scipy
 from scipy.linalg import cython_lapack, eigvalsh_tridiagonal
 
-from .model import (ChainSpec, CouplingMatrix, _is_int, _is_real, build_full_bonds,
-                    derive_parameters)
+from .model import (ChainSpec, CouplingMatrix, _is_int, _is_real, _quote, _times,
+                    build_full_bonds, derive_parameters)
 
 __all__ = [
     "RegisterElements",
@@ -245,9 +245,10 @@ def register_elements(omega: CouplingMatrix, t) -> RegisterElements:
     """
     if omega.n < 2:
         raise ValueError("register_elements needs the sites L1, L2, ..., R2, R1")
-    times = [t] if _is_real(t) else t
-    if np.ndim(times) != 1 or not all(map(_is_real, times)):
-        raise ValueError(f"the time t must be a real number or a 1-D sequence of them, got {t!r}")
+    times = _times(t)
+    if times is None:
+        raise ValueError(f"the time t must be a real number or a 1-D sequence of them, "
+                         f"got {_quote(t)}")
     times, size = np.array(times, dtype=float), _stack_size(omega.order)
     parts = [_register_stack(omega.bonds[None].repeat(len(ts), 0), ts)
              for ts in (times[k:k + size] for k in range(0, len(times), size))]

@@ -22,14 +22,15 @@ This module also owns the rule for which numbers a caller may pass, as two
 predicates that every module's input checks call: `_is_int` (an int or
 numpy integer, not a bool) and `_is_real` (an int, float or numpy real
 scalar that a float can hold, not a bool).  Neither accepts a numeric
-string.  Whether a value must also be finite or in range is each
-caller's own test.
+string.  `_times` applies the second to a time or a 1-D sequence of times.
+Whether a value must also be finite or in range is each caller's own test.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,22 @@ def _is_real(x) -> bool:
     except OverflowError:  # an int or fraction beyond the float range
         return False
     return True
+
+
+def _times(t):
+    """[t] for a real number t (`_is_real`), t itself for a 1-D sequence of
+    real numbers, and None for anything else, a ragged sequence included."""
+    times = [t] if _is_real(t) else t
+    try:
+        return times if np.ndim(times) == 1 and all(map(_is_real, times)) else None
+    except ValueError:  # numpy's "inhomogeneous shape" for a ragged sequence
+        return None
+
+
+def _quote(x) -> str:
+    """repr(x) for an error message, at most 80 characters of it."""
+    text = reprlib.repr(x)
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def derive_parameters(n: int, N: int, g_C: float, g_I: float) -> ChainSpec:

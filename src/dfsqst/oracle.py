@@ -12,8 +12,13 @@ for the last few chains (at most about 7 MB each, at L = 12).  The apply
 step (``_evolve_basis``) evolves basis states at any t: each lies in one
 sector and one half of it, so its column needs a row of U or W and two
 real GEMMs in that sector alone (sector L - m reuses the SVD of sector m),
-written straight into the caller's row order.  Only the decomposition is
-independent of the input; neither part forms the 2^L x 2^L matrix.  The
+written straight into the caller's row order.  One stable sort groups the
+starts into one run per half, and sin/cos of S t is taken once per SVD.
+The tables that depend on L and the encoding only, the sector layout
+(``_sector_layout``) and the pipeline's start codes, decoded rows and
+dephasing table (``_pipeline_table``), are built once per (L, encoding),
+read-only.  Only the decomposition depends on the bonds; nothing is cached
+on t or the states, and no part forms the 2^L x 2^L matrix.  The
 dense reference the core is tested against, the full Hamiltonian and its
 eigendecomposition, lives with the tests.  The oracle is used to
 validate, by brute force, what the free-fermion engine claims:
@@ -26,7 +31,7 @@ validate, by brute force, what the free-fermion engine claims:
 * the CNOT encode/transfer/decode pipeline, run on the two logical basis
   branches of each channel state, reproduces the closed fidelity formulas
   for the DFS and non-DFS logical encodings; its codec is a map on the four
-  patterns of each end's register pair, so it forms no 2^L permutation,
+  patterns of each end's register pair, so it permutes no state,
 * collective dephasing (a classical random scalar field coupled to the
   total spin-z projection) leaves the DFS pipeline exactly invariant
   while suppressing non-DFS coherences by the Gaussian factor
@@ -125,13 +130,13 @@ def _coupling_for(spec: ChainSpec, which: str) -> CouplingMatrix:
 def _sector_layout(L: int) -> tuple:
     """How the basis of L sites splits into the chiral blocks of H.
 
-    Returns (blocks, pop, half, slot).  blocks[k] is the pair of basis-index
+    Returns (blocks, block, slot).  blocks[k] is the pair of basis-index
     lists that sector k's block acts on: for k <= L/2 the states with k up
     spins and an even (first list) or odd (second) number of them on odd
     sites, from which `_sector_svds` builds B; for k > L/2 the spin flip
-    2^L - 1 - s of sector L - k's pair, so that sector reuses that SVD.  pop[s]
-    is the sector of basis index s, and half[s] (0 for the first list, 1 for
-    the second) and slot[s] place it: s = blocks[pop[s]][half[s]][slot[s]].
+    2^L - 1 - s of sector L - k's pair, so that sector reuses that SVD.
+    block[s] = 2 k + h and slot[s] place basis index s in sector k and list
+    h of it (0 for the first list, 1 for the second): s = blocks[k][h][slot[s]].
     Every array is read-only, as each cache hit hands out the same ones.
     """
     pop = _popcounts(L)
@@ -142,15 +147,31 @@ def _sector_layout(L: int) -> tuple:
     top = (1 << L) - 1
     # the middle sector of even L is its own flip image and stays unflipped
     blocks = tuple(low + [(top - e, top - o) for e, o in reversed(low[:(L + 1) // 2])])
-    half = np.empty(1 << L, dtype=np.intp)
+    block = np.empty(1 << L, dtype=np.intp)
     slot = np.empty(1 << L, dtype=np.intp)
-    for pair in blocks:
+    for k, pair in enumerate(blocks):
         for h, rows in enumerate(pair):
-            half[rows] = h
+            block[rows] = 2 * k + h
             slot[rows] = np.arange(len(rows))
-    for a in (pop, half, slot, *(a for pair in blocks for a in pair)):
+    for a in (block, slot, *(a for pair in blocks for a in pair)):
         a.setflags(write=False)
-    return blocks, pop, half, slot
+    return blocks, block, slot
+
+
+@functools.lru_cache(maxsize=None)
+def _pipeline_table(L: int, pair: tuple) -> tuple:
+    """(codes, halves, dz) of the pipeline at L sites for `_encoding_pairs`' `pair`:
+    `_codec`'s start codes, halves[k][h] the decoded rows (top bits h -> decode[h])
+    of `_sector_layout`'s blocks[k][h], and `_run_pipeline`'s dz; all read-only."""
+    codes, decode = _codec(pair)
+    rows = np.arange(1 << L) ^ np.repeat((np.arange(4) ^ decode) << (L - 2), 1 << (L - 2))
+    halves = tuple((rows[e], rows[o]) for e, o in _sector_layout(L)[0])
+    # up spins of the evolved pair that decodes to (R1, R2), as pop[R1, R2]
+    pop = np.array([0, 1, 1, 2])[np.argsort(decode)].reshape(2, 2)
+    dz = 2 * (pop[0] - pop[1])
+    for a in (dz, *(a for h in halves for a in h)):
+        a.setflags(write=False)
+    return tuple(codes), halves, dz
 
 
 # Chains whose sector decompositions `_sector_svds` keeps.  An entry is
@@ -181,10 +202,11 @@ def _sector_svds(bond_bytes: bytes) -> tuple:
     return tuple(sectors)
 
 
-def _evolve_basis(bonds: np.ndarray, starts, t: float, rows=None) -> np.ndarray:
+def _evolve_basis(bonds, starts, t: float, rows=None, halves=None) -> np.ndarray:
     """exp(-iHt) applied to the basis states `starts`, H the XX chain of
     `bonds`, without forming H: column j holds <s|exp(-iHt)|starts[j]> in
-    row rows[s] (row s if rows is None).
+    row rows[s] (row s if rows is None), or in halves[k][h][i] for the i-th
+    state of `_sector_layout`'s blocks[k][h] (`_pipeline_table`'s halves).
 
     Every hop moves one up spin between an odd and an even site, so it flips
     the parity of the number of up spins on odd sites: in each sector H is
@@ -199,34 +221,40 @@ def _evolve_basis(bonds: np.ndarray, starts, t: float, rows=None) -> np.ndarray:
     is taken as -2 sin^2(St/2) so that small St loses no digits.  U and W are
     real, so the first block is real and the second imaginary, and the
     input-side product is a row pick.  Each basis state lies in one sector
-    and one half, so each sector's two GEMMs run only on the columns that
-    start there, and write straight into their rows of the output.  The
+    and one half, so one stable sort by block groups the starts into runs
+    whose two GEMMs write straight into their rows of the output.  The
     global spin flip s -> 2^L - 1 - s leaves H unchanged and maps sector m
     onto sector L - m, which reuses U, S, W on the flipped rows
     (`_sector_layout`).  The SVDs come from `_sector_svds`, computed once per
     chain and cached by the bonds' bytes; only they are independent of the
-    input, and a call on a chain seen before costs, per sector its starts
-    occupy, one sin/cos of S t and the GEMMs of the halves they start in.
+    input, and a call on a chain seen before costs one sin/cos of S t per
+    SVD its starts use and two GEMMs per run.
     """
     bonds = np.asarray(bonds, dtype=float)
     L = len(bonds) + 1
-    blocks, pop, half, slot = _sector_layout(L)
+    blocks, block, slot = _sector_layout(L)
     svds = _sector_svds(bonds.tobytes())
     starts = np.asarray(starts, dtype=np.intp)
-    rows = np.arange(1 << L) if rows is None else np.asarray(rows)
+    halves = halves or (blocks if rows is None else [(rows[e], rows[o]) for e, o in blocks])
     out = np.zeros((1 << L, len(starts)), dtype=complex)
-    block = 2 * pop[starts] + half[starts]
-    for b in np.unique(block):
-        cols = np.flatnonzero(block == b)
-        k, h = divmod(int(b), 2)
-        U, S, Wt = svds[min(k, L - k)]
+    order = np.argsort(block[starts], kind="stable")
+    keys = block[starts[order]]
+    edges = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(order)]
+    trig = {}
+    for a, b in zip(edges, edges[1:]):
+        cols = order[a:b]
+        k, h = divmod(int(keys[a]), 2)
+        m = min(k, L - k)
+        U, S, Wt = svds[m]
+        if m not in trig:  # sectors m and L - m share S
+            trig[m] = (-2.0 * np.sin(S * t / 2) ** 2)[:, None], np.sin(S * t)[:, None]
+        cos1, sin = trig[m]
         same, other = (U, Wt.T) if h == 0 else (Wt.T, U)
-        picked = same[slot[starts[cols]]].T  # U[i]^T (W[i]^T) for each column
-        if h == 0 or b - 1 not in block:  # else set by the even half, block b - 1
-            cos1, sin = (-2.0 * np.sin(S * t / 2) ** 2)[:, None], np.sin(S * t)[:, None]
-        out.real[rows[blocks[k][h]][:, None], cols] = same @ (cos1 * picked)
-        out.imag[rows[blocks[k][1 - h]][:, None], cols] = other @ (-sin * picked)
-    out.real[rows[starts], np.arange(len(starts))] += 1.0
+        i = slot[starts[cols]]
+        picked = same[i].T  # U[i]^T (W[i]^T) for each column
+        out.real[halves[k][h][:, None], cols] = same @ (cos1 * picked)
+        out.imag[halves[k][1 - h][:, None], cols] = other @ (-sin * picked)
+        out.real[halves[k][h][i], cols] += 1.0
     return out
 
 
@@ -307,16 +335,16 @@ def _popcounts(L: int) -> np.ndarray:
 _PATTERNS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _encoding_pairs(encoding):
-    """Normalize an encoding name to its ((b0), (b1)) register basis pair."""
-    if encoding == "dfs":
-        return ((0, 1), (1, 0))
-    if encoding == "ndfs":
-        return ((0, 0), (1, 1))
-    try:
-        pair = tuple(map(tuple, encoding))
-    except TypeError:  # not a sequence of sequences, such as an int
-        pair = ()
+def _encoding_pairs(encoding) -> tuple:
+    """Normalize an encoding to its ((b0), (b1)) register basis pair, a tuple
+    of Python ints; each bit must pass `_is_int`, so a bool is refused."""
+    if isinstance(encoding, str):
+        pair = {"dfs": ((0, 1), (1, 0)), "ndfs": ((0, 0), (1, 1))}.get(encoding, ())
+    else:
+        try:
+            pair = tuple(tuple(int(b) if _is_int(b) else None for b in p) for p in encoding)
+        except TypeError:  # not a sequence of sequences, such as an int
+            pair = ()
     if len(pair) != 2 or pair[0] == pair[1] or not all(p in _PATTERNS for p in pair):
         raise ValueError(f"encoding must be 'dfs', 'ndfs' or two distinct bit pairs, "
                          f"got {encoding!r}")
@@ -371,33 +399,30 @@ def _run_pipeline(bonds: np.ndarray, encoding, t: float, channel_states, lams):
     branches of every channel state: column x * C + c starts from logical x,
     channel state channel_states[c] and the right register in vacuum.  By
     linearity these fix the output of every input.  The codec is a map on
-    the four patterns of each end pair (`_codec`), so no 2^L permutation is
-    formed: encoded, branch x is the basis state |b_x, c, vac>, which
-    `_evolve_basis` evolves in its own sector only and writes straight to
-    its decoded row, its index with the (R1, R2) bits decoded.  Returns the
+    the four patterns of each end pair (`_codec`), so no state is permuted:
+    encoded, branch x is the basis state |b_x, c, vac>, which `_evolve_basis`
+    evolves in its own sector only and writes straight to its decoded row,
+    from `_pipeline_table`, built once per L and encoding.  Returns the
     decoded amplitudes q[R1, rest, x, c] and dephase(v): per shot, sum_r
     exp(-i lam t dz_r) v[r] for v (rest, C), dz = s_z(R1 down) - s_z(R1 up)
     before decoding.  The two differ only in the pair's spins, so dz depends
     only on the decoded R2, the top bit of rest: v is summed per R2 value
     first, and no product is large enough for a BLAS thread, which stalls on
     a busy core."""
-    L = len(bonds) + 1
-    codes, decode = _codec(encoding)
+    codes, halves, dz = _pipeline_table(len(bonds) + 1, _encoding_pairs(encoding))
     base = np.asarray(channel_states) << 2
-    s = np.arange(1 << L)
-    top = s >> (L - 2)
-    rows = s ^ ((top ^ decode[top]) << (L - 2))
-    # up spins of the evolved pair that decodes to (R1, R2), as pop[R1, R2]
-    pop = np.array([0, 1, 1, 2])[np.argsort(decode)].reshape(2, 2)
-    phases = _dephasing_phases(lams, t, 2 * (pop[0] - pop[1]))
-    q = _evolve_basis(bonds, np.concatenate([base | b for b in codes]), t, rows)
+    phases = _dephasing_phases(lams, t, dz)
+    q = _evolve_basis(bonds, np.concatenate([base | b for b in codes]), t, halves=halves)
     return (q.reshape(2, -1, 2, len(base)),
             lambda v: phases @ v.reshape(2, -1, v.shape[1]).sum(axis=1))
 
 
 def _pipeline_chain(spec: ChainSpec, which: str, t: float) -> tuple[np.ndarray, int]:
     """The `which` chain's bonds and channel-site count for the encode/decode
-    pipeline at time t, whose codec needs n = 2; t must be finite and real."""
+    pipeline at time t, whose codec needs n = 2; spec must be a ChainSpec
+    and t finite and real."""
+    if not isinstance(spec, ChainSpec):
+        raise ValueError(f"spec must be a ChainSpec, got {spec!r}")
     if spec.n != 2:
         raise ValueError("the encode/decode pipeline is defined for n = 2")
     if not (_is_real(t) and math.isfinite(t)):
@@ -434,11 +459,14 @@ def average_fidelity_bruteforce(spec: ChainSpec, encoding, t: float,
     register subspace.  The channel starts either maximally mixed
     (enumerating every channel basis state exactly) or in the one basis
     state an integer channel_init names; the right register starts in
-    vacuum.  t must be finite.  logical_target overrides the unitary the
-    output is compared against ("identity" or "z"); by default the NDFS
-    encoding is compared against its deterministic Z-corrected target.
+    vacuum.  deph is a DephasingModel or None (no dephasing).  t must be
+    finite.  logical_target overrides the unitary the output is compared
+    against ("identity" or "z"); by default the NDFS encoding is compared
+    against its deterministic Z-corrected target.
     """
     bonds, n_channel = _pipeline_chain(spec, which, t)
+    if not (deph is None or isinstance(deph, DephasingModel)):
+        raise ValueError(f"deph must be a DephasingModel or None, got {deph!r}")
     if channel_init == "maximally-mixed":
         channel_states = np.arange(1 << n_channel)
     elif _is_int(channel_init) and 0 <= channel_init < 1 << n_channel:
@@ -487,10 +515,13 @@ def dephasing_protection_report(spec: ChainSpec, deph: DephasingModel, t: float,
     That prediction holds only at the transfer time (away from it the
     decoded coherence is not the |dn,dn>/|up,up> phase alone), so t must
     equal spec.tau to a relative 1e-9; any other t, or a non-finite one,
-    raises ValueError, as does a model with fewer than 2 samples (no
-    standard error) or a spec whose registers are not n = 2.
+    raises ValueError, as does a deph that is not a DephasingModel, one with
+    fewer than 2 samples (no standard error), or a spec that is not a
+    ChainSpec or whose registers are not n = 2.
     """
     bonds, n_channel = _pipeline_chain(spec, which, t)
+    if not isinstance(deph, DephasingModel):
+        raise ValueError(f"deph must be a DephasingModel, got {deph!r}")
     if not abs(t - spec.tau) <= 1e-9 * spec.tau:
         raise ValueError(f"the NDFS prediction holds only at t = tau = {spec.tau!r}, got t = {t!r}")
     if deph.samples < 2:

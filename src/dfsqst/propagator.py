@@ -22,7 +22,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .fidelity import RegisterElements
-from .model import ChainSpec, CouplingMatrix, _is_real, build_effective_coupling_matrix
+from .model import (ChainSpec, CouplingMatrix, _is_real, _quote, _times,
+                    build_effective_coupling_matrix)
 
 __all__ = [
     "eigendecompose",
@@ -72,9 +73,10 @@ def dense_register_elements(omega: CouplingMatrix, t: float) -> RegisterElements
 def closed_form_effective_elements(g0: float, t) -> tuple:
     """Weak-coupling closed forms for n = 2: (Delta_R1L1, Delta_R2L2, Delta_R1L2),
     at one time t or at each time of a 1-D sequence t (then arrays)."""
-    times = [t] if _is_real(t) else t
-    if not (np.ndim(times) == 1 and all(_is_real(x) and math.isfinite(x) for x in (g0, *times))):
-        raise ValueError(f"g0 and t must be finite real numbers, got g0 = {g0!r}, t = {t!r}")
+    times = _times(t)
+    if times is None or not all(_is_real(x) and math.isfinite(x) for x in (g0, *times)):
+        raise ValueError(f"g0 and t must be finite real numbers, "
+                         f"got g0 = {_quote(g0)}, t = {_quote(t)}")
     t = np.asarray(t, dtype=float)
     c1, c2 = np.cos(g0 * t), np.cos(2 * g0 * t)
     s1, s2 = np.sin(g0 * t), np.sin(2 * g0 * t)

@@ -41,6 +41,12 @@ class Mutant(NamedTuple):
 
 
 FIDELITY_TESTS = "tests/test_fidelity.py::"
+SECTOR_TESTS = "tests/test_oracle.py::TestSectorEvolve::"
+# `_evolve_basis`'s sin/cos of S t, cached per SVD under the key {0}
+TRIG_CACHE = ("        if {0} not in trig:  # sectors m and L - m share S\n"
+              "            trig[{0}] = (-2.0 * np.sin(S * t / 2) ** 2)[:, None], "
+              "np.sin(S * t)[:, None]\n"
+              "        cos1, sin = trig[{0}]\n")
 
 MUTANTS = (
     Mutant("wrong diagonal offset in a gap block", "fidelity.py",
@@ -80,6 +86,15 @@ MUTANTS = (
     Mutant("time-array chunks one time too long", "fidelity.py",
            "times[k:k + size] for k in range", "times[k:k + size + 1] for k in range",
            (FIDELITY_TESTS + "TestTimeArrays::test_each_time_is_the_scalar_call",)),
+    Mutant("evolve runs split one start late", "oracle.py",
+           "np.flatnonzero(keys[1:] != keys[:-1]) + 1",
+           "np.flatnonzero(keys[1:] != keys[:-1]) + 2",
+           (SECTOR_TESTS + "test_grouped_starts_are_their_runs_alone",
+            SECTOR_TESTS + "test_matches_dense_evolve_state")),
+    Mutant("evolve sin/cos cache keyed on the half, not the SVD", "oracle.py",
+           TRIG_CACHE.format("m"), TRIG_CACHE.format("h"),
+           (SECTOR_TESTS + "test_grouped_starts_are_their_runs_alone",
+            SECTOR_TESTS + "test_matches_dense_evolve_state")),
 )
 
 SURVIVORS = (

@@ -145,11 +145,33 @@ def test_non_finite_sweep_time_is_a_non_finite_point(t):
     # raised TypeError: unhashable type: 'list'
     (lambda: average_fidelity_bruteforce(SPEC, [([0], 1), (1, 0)], SPEC.tau),
      "encoding must be 'dfs', 'ndfs'"),
+    # a bool was taken as a bit
+    (lambda: average_fidelity_bruteforce(SPEC, [[True, False], [0, 0]], SPEC.tau),
+     "encoding must be 'dfs', 'ndfs'"),
+    # each raised AttributeError
+    (lambda: average_fidelity_bruteforce(SPEC, "dfs", SPEC.tau, deph=0.3),
+     "deph must be a DephasingModel"),
+    (lambda: dephasing_protection_report(SPEC, None, SPEC.tau), "deph must be a DephasingModel"),
+    (lambda: average_fidelity_bruteforce(None, "dfs", 1.0), "spec must be a ChainSpec"),
+    (lambda: dephasing_protection_report(None, DEPH, 1.0), "spec must be a ChainSpec"),
 ], ids=["phase_table-n4", "bruteforce-which", "bruteforce-logical_target",
-        "bruteforce-encoding", "bruteforce-encoding-unhashable"])
+        "bruteforce-encoding", "bruteforce-encoding-unhashable", "bruteforce-encoding-bool",
+        "bruteforce-deph", "report-deph-None", "bruteforce-spec-None", "report-spec-None"])
 def test_value_outside_its_set_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("t", [[1.0] * 999 + ["2.5"], [1.0, [2.0, 3.0]], "x" * 5000],
+                         ids=["1000-entry-list", "ragged-list", "long-string"])
+def test_refused_time_sequence_is_named_in_a_bounded_message(t):
+    # the 1000-entry list was quoted whole (5069 characters), and the ragged
+    # list got numpy's "inhomogeneous shape" error, which did not name t
+    for call in (lambda: register_elements(OMEGA, t),
+                 lambda: closed_form_effective_elements(SPEC.g0, t)):
+        with pytest.raises(ValueError, match="t must be") as refused:
+            call()
+        assert len(str(refused.value)) <= 200
 
 
 FIVE = np.ones(4)  # the bonds of a chain of order 5

@@ -186,6 +186,55 @@ class TestSectorEvolve:
                 with pytest.raises(ValueError, match="read-only"):
                     a[...] = 0
 
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(3, 11), t=st.floats(0.0, 20.0), seed=st.integers(0, 2 ** 32 - 1),
+           permuted=st.booleans())
+    def test_grouped_starts_are_their_runs_alone(self, L, t, seed, permuted):
+        # repeated starts in random order, grouped into runs by one sort:
+        # each column must be bit for bit its column in a call on its run
+        # alone (the starts with its number of up spins and parity of up
+        # spins on odd sites, in call order), so every run's GEMM has the
+        # same columns in the same order.  A GEMM column's bits depend on
+        # how many columns it has and where it sits (OpenBLAS), so against
+        # the sorted unique starts the columns agree to rounding only.
+        rng = np.random.default_rng(seed)
+        bonds = rng.uniform(0.1, 2.0, L - 1) * rng.choice([-1.0, 1.0], L - 1)
+        starts = rng.integers(0, 1 << L, rng.integers(1, 25))
+        starts = rng.permutation(np.concatenate((starts, starts[:rng.integers(0, 6)])))
+        rows = rng.permutation(1 << L) if permuted else None
+        out = _evolve_basis(bonds, starts, t, rows)
+        pop = oracle._popcounts(L)
+        key = 2 * pop[starts] + (pop[starts & sum(1 << k for k in range(1, L, 2))] & 1)
+        for k in np.unique(key):
+            cols = np.flatnonzero(key == k)
+            alone = _evolve_basis(bonds, starts[cols], t, rows)
+            np.testing.assert_array_equal(out[:, cols], alone)
+        unique, where = np.unique(starts, return_inverse=True)
+        np.testing.assert_allclose(out, _evolve_basis(bonds, unique, t, rows)[:, where],
+                                   rtol=0, atol=1e-14)
+        # the per-L and per-encoding tables: read-only, and each pipeline
+        # table equal to the rows and dz built from `_codec` directly
+        blocks, block, slot = oracle._sector_layout(L)
+        pairs = [oracle._encoding_pairs(e) for e in ("dfs", "ndfs", *REMAINING_SUBSPACES)]
+        tables = {pair: oracle._pipeline_table(L, pair)
+                  for pair in pairs + [pair[::-1] for pair in pairs]}
+        arrays = [block, slot, *(a for pair in blocks for a in pair)]
+        for pair, (codes, halves, dz) in tables.items():
+            codes_ref, decode = _codec(pair)
+            s = np.arange(1 << L)
+            top = s >> (L - 2)
+            rows_ref = s ^ ((top ^ decode[top]) << (L - 2))
+            pop = np.array([0, 1, 1, 2])[np.argsort(decode)].reshape(2, 2)
+            assert codes == tuple(codes_ref) and all(type(c) is int for c in codes)
+            np.testing.assert_array_equal(dz, 2 * (pop[0] - pop[1]))
+            for (even, odd), got in zip(blocks, halves):
+                np.testing.assert_array_equal(got[0], rows_ref[even])
+                np.testing.assert_array_equal(got[1], rows_ref[odd])
+            arrays += [dz, *(a for h in halves for a in h)]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
     def test_cache_separates_bond_signs_and_lengths(self):
         # a bond's sign changes the amplitudes' signs, not the spectrum, and
         # a shorter chain shares a prefix of the bonds; each must get its
@@ -339,8 +388,8 @@ def test_maximally_mixed_batch_is_two_branches_per_channel_state(monkeypatch):
     # logical branch only, in one batch
     columns, evolve = [], oracle._evolve_basis
     monkeypatch.setattr(oracle, "_evolve_basis",
-                        lambda b, starts, t, rows: columns.append(len(starts))
-                        or evolve(b, starts, t, rows))
+                        lambda b, starts, t, **rows: columns.append(len(starts))
+                        or evolve(b, starts, t, **rows))
     spec = derive_parameters(2, 5, 1.0, 0.3)
     average_fidelity_bruteforce(spec, "dfs", spec.tau)
     assert columns == [2 << 5]
@@ -467,7 +516,20 @@ class TestCodec:
                 psi[c1 << (L - 1) | c2 << (L - 2) | rest] = 1.0
                 assert np.flatnonzero(psi[dec]).tolist() == [x << (L - 1) | p << (L - 2) | rest]
 
-    @pytest.mark.parametrize("encoding", ["cnot", ((0, 1), (0, 1)), ((0, 2), (1, 1))])
+    @pytest.mark.parametrize("encoding", [np.array([[0, 1], [1, 0]]),
+                                          ((np.int64(0), np.uint8(1)), [1, 0]),
+                                          iter([(0, 1), iter((1, 0))])],
+                             ids=["array", "numpy-ints", "iterators"])
+    def test_bit_pairs_are_normalised_to_python_ints(self, encoding):
+        # an array raised numpy's "truth value of an array is ambiguous";
+        # any form of the DFS pair is the hashable tuple the tables are keyed on
+        pair = oracle._encoding_pairs(encoding)
+        assert pair == ((0, 1), (1, 0)) and all(type(b) is int for p in pair for b in p)
+        hash(pair)
+
+    @pytest.mark.parametrize("encoding", ["cnot", ((0, 1), (0, 1)), ((0, 2), (1, 1)),
+                                          [[True, False], [0, 0]], ((0, 1), (np.True_, 0)),
+                                          ((0.0, 1), (1, 0)), b"dfs", np.array(["dfs"])])
     def test_invalid_encoding_rejected(self, encoding):
         spec = derive_parameters(2, 1, 1.0, 0.2)
         with pytest.raises(ValueError, match="encoding"):
