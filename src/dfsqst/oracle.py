@@ -202,11 +202,11 @@ def _sector_svds(bond_bytes: bytes) -> tuple:
     return tuple(sectors)
 
 
-def _evolve_basis(bonds, starts, t: float, rows=None, halves=None) -> np.ndarray:
+def _evolve_basis(bonds, starts, t: float, halves=None) -> np.ndarray:
     """exp(-iHt) applied to the basis states `starts`, H the XX chain of
-    `bonds`, without forming H: column j holds <s|exp(-iHt)|starts[j]> in
-    row rows[s] (row s if rows is None), or in halves[k][h][i] for the i-th
-    state of `_sector_layout`'s blocks[k][h] (`_pipeline_table`'s halves).
+    `bonds`, without forming H: column j holds <s|exp(-iHt)|starts[j]>, with
+    the i-th state of `_sector_layout`'s blocks[k][h] in row halves[k][h][i]
+    (`_pipeline_table`'s halves; row s for state s if halves is None).
 
     Every hop moves one up spin between an odd and an even site, so it flips
     the parity of the number of up spins on odd sites: in each sector H is
@@ -235,15 +235,15 @@ def _evolve_basis(bonds, starts, t: float, rows=None, halves=None) -> np.ndarray
     blocks, block, slot = _sector_layout(L)
     svds = _sector_svds(bonds.tobytes())
     starts = np.asarray(starts, dtype=np.intp)
-    halves = halves or (blocks if rows is None else [(rows[e], rows[o]) for e, o in blocks])
+    halves = halves or blocks
     out = np.zeros((1 << L, len(starts)), dtype=complex)
     order = np.argsort(block[starts], kind="stable")
-    keys = block[starts[order]]
-    edges = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(order)]
+    keys = block[starts[order]].tolist()
+    edges = [a for a in range(len(keys) + 1) if a in (0, len(keys)) or keys[a] != keys[a - 1]]
     trig = {}
     for a, b in zip(edges, edges[1:]):
         cols = order[a:b]
-        k, h = divmod(int(keys[a]), 2)
+        k, h = divmod(keys[a], 2)
         m = min(k, L - k)
         U, S, Wt = svds[m]
         if m not in trig:  # sectors m and L - m share S

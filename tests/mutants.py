@@ -48,6 +48,10 @@ TRIG_CACHE = ("        if {0} not in trig:  # sectors m and L - m share S\n"
               "np.sin(S * t)[:, None]\n"
               "        cos1, sin = trig[{0}]\n")
 
+# `_evolve_basis`'s bounds of the runs of equal block keys
+EDGES = ("    edges = [a for a in range(len(keys) + 1) "
+         "if a in (0, len(keys)) or keys[a] != keys[a - 1]]\n")
+
 MUTANTS = (
     Mutant("wrong diagonal offset in a gap block", "fidelity.py",
            "g.reshape(r, -1)[:, k0::p + 1] = 1.0", "g.reshape(r, -1)[:, ::p + 1] = 1.0",
@@ -87,8 +91,7 @@ MUTANTS = (
            "times[k:k + size] for k in range", "times[k:k + size + 1] for k in range",
            (FIDELITY_TESTS + "TestTimeArrays::test_each_time_is_the_scalar_call",)),
     Mutant("evolve runs split one start late", "oracle.py",
-           "np.flatnonzero(keys[1:] != keys[:-1]) + 1",
-           "np.flatnonzero(keys[1:] != keys[:-1]) + 2",
+           EDGES, EDGES + "    edges[1:-1] = [e + 1 for e in edges[1:-1]]\n",
            (SECTOR_TESTS + "test_grouped_starts_are_their_runs_alone",
             SECTOR_TESTS + "test_matches_dense_evolve_state")),
     Mutant("evolve sin/cos cache keyed on the half, not the SVD", "oracle.py",

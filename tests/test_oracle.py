@@ -148,8 +148,14 @@ class TestSectorEvolve:
         starts = np.concatenate((rng.permutation(1 << L)[:12], rng.permutation(middle)[:8]))
         starts = rng.permutation(np.concatenate((starts, starts[:5])))
         rows = rng.permutation(1 << L)
-        out = _evolve_basis(bonds, starts, t, rows)
+        halves = [(rows[e], rows[o]) for e, o in oracle._sector_layout(L)[0]]
+        out = _evolve_basis(bonds, starts, t, halves=halves)
         np.testing.assert_allclose(out[rows], ref[:, starts], rtol=0, atol=1e-12)
+
+    def test_no_starts_give_no_columns(self):
+        for L in (2, 5):
+            out = _evolve_basis(np.ones(L - 1), np.array([], dtype=int), 1.0)
+            assert out.shape == (1 << L, 0) and out.dtype == complex
 
     def test_decomposition_does_not_depend_on_the_input(self, monkeypatch):
         # the first call on a chain decomposes the chiral blocks of sectors
@@ -201,16 +207,17 @@ class TestSectorEvolve:
         bonds = rng.uniform(0.1, 2.0, L - 1) * rng.choice([-1.0, 1.0], L - 1)
         starts = rng.integers(0, 1 << L, rng.integers(1, 25))
         starts = rng.permutation(np.concatenate((starts, starts[:rng.integers(0, 6)])))
-        rows = rng.permutation(1 << L) if permuted else None
-        out = _evolve_basis(bonds, starts, t, rows)
+        rows = rng.permutation(1 << L)
+        halves = [(rows[e], rows[o]) for e, o in oracle._sector_layout(L)[0]] if permuted else None
+        out = _evolve_basis(bonds, starts, t, halves=halves)
         pop = oracle._popcounts(L)
         key = 2 * pop[starts] + (pop[starts & sum(1 << k for k in range(1, L, 2))] & 1)
         for k in np.unique(key):
             cols = np.flatnonzero(key == k)
-            alone = _evolve_basis(bonds, starts[cols], t, rows)
+            alone = _evolve_basis(bonds, starts[cols], t, halves=halves)
             np.testing.assert_array_equal(out[:, cols], alone)
         unique, where = np.unique(starts, return_inverse=True)
-        np.testing.assert_allclose(out, _evolve_basis(bonds, unique, t, rows)[:, where],
+        np.testing.assert_allclose(out, _evolve_basis(bonds, unique, t, halves=halves)[:, where],
                                    rtol=0, atol=1e-14)
         # the per-L and per-encoding tables: read-only, and each pipeline
         # table equal to the rows and dz built from `_codec` directly
@@ -388,8 +395,8 @@ def test_maximally_mixed_batch_is_two_branches_per_channel_state(monkeypatch):
     # logical branch only, in one batch
     columns, evolve = [], oracle._evolve_basis
     monkeypatch.setattr(oracle, "_evolve_basis",
-                        lambda b, starts, t, **rows: columns.append(len(starts))
-                        or evolve(b, starts, t, **rows))
+                        lambda b, starts, t, **kw: columns.append(len(starts))
+                        or evolve(b, starts, t, **kw))
     spec = derive_parameters(2, 5, 1.0, 0.3)
     average_fidelity_bruteforce(spec, "dfs", spec.tau)
     assert columns == [2 << 5]
