@@ -33,17 +33,18 @@ channel length run as stacks of chains of the same order M
 (`_register_stack`), and each step from bonds to rows is one set of array
 operations over the whole stack: the dqds inputs of every chain's even
 blocks and then of its odd blocks are one work array each (`_spectra`),
-one dqds call a chain; the gap sums, weights and phases follow, the phases
-exp(-i sigma t) taken over the positive half only and conjugated for
--sigma; and each fidelity formula is one call over the stack's elements.
-Each chain keeps its own choice of gap form.  A stack holds as many chains
-as fit their whole gap matrices into one block of `_GAP_CELLS` cells, so
-the scratch memory stays O(M), and a chain gets the same bits in any
-stack; `register_elements` stacks one chain.  A chain of at least
-`_POOL_MIN_ORDER` sites, whose stacks are single points, runs its ratios on
-a thread pool of one worker per usable CPU, since the dqds call and the gap
-sums release the GIL; shorter chains, single-ratio grids and one-CPU
-processes run one stack after another in the calling thread.
+one dqds call a chain; the gap sums and weights follow, once a chain, then
+the phases exp(-i sigma t) of each of its times, over the positive half
+only and conjugated for -sigma; each fidelity formula is one call over the
+stack's elements.  Each chain keeps its own choice of gap form.  A stack
+holds as many chains as fit their whole gap matrices into one block of
+`_GAP_CELLS` cells, so the scratch memory stays O(M), and a chain gets the
+same bits in any stack; `register_elements` solves one chain for all its
+times.  A chain of at least `_POOL_MIN_ORDER` sites, whose stacks are
+single points, runs its ratios on a thread pool of one worker per usable
+CPU, since the dqds call and the gap sums release the GIL; shorter chains,
+single-ratio grids and one-CPU processes run one stack after another in the
+calling thread.
 """
 
 from __future__ import annotations
@@ -234,25 +235,25 @@ def register_elements(omega: CouplingMatrix, t) -> RegisterElements:
     of at most `_GAP_CELLS` cells, so the scratch memory is O(M).
     The diagonal is zero because a `CouplingMatrix` has none.  Where the
     sums leave the float range the elements come out inf or nan, silently;
-    callers check.  A 1-D sequence t gives arrays, one entry a time, run as
-    stacks of up to `_stack_size(M)` copies of the chain, each the scalar call's bits.
+    callers check.  A 1-D sequence t gives arrays, one entry a time, from one
+    solve of the chain (only the phases are per time), each the scalar call's bits.
 
-    Raises ValueError for registers of fewer than two sites (L1, L2 first,
-    R2, R1 last), a zero bond (which makes eigenvalues degenerate), a
-    non-finite bond, or a t that is neither a real number nor a 1-D sequence
-    of them (`_is_real`: a bool, a numeric string or an int beyond the float
-    range is refused; an inf or nan t is taken, and gives non-finite elements).
+    Raises ValueError for an omega that is not a `CouplingMatrix`, registers
+    of fewer than two sites (L1, L2 first, R2, R1 last), a zero bond (which
+    makes eigenvalues degenerate), a non-finite bond, or a t that is neither
+    a real number nor a 1-D sequence of them (`_is_real`: a bool, a numeric
+    string or an int beyond the float range is refused; an inf or nan t is
+    taken, and gives non-finite elements).
     """
+    if not isinstance(omega, CouplingMatrix):
+        raise ValueError(f"omega must be a CouplingMatrix, got {_quote(omega)}")
     if omega.n < 2:
         raise ValueError("register_elements needs the sites L1, L2, ..., R2, R1")
     times = _times(t)
     if times is None:
         raise ValueError(f"the time t must be a real number or a 1-D sequence of them, "
                          f"got {_quote(t)}")
-    times, size = np.array(times, dtype=float), _stack_size(omega.order)
-    parts = [_register_stack(omega.bonds[None].repeat(len(ts), 0), ts)
-             for ts in (times[k:k + size] for k in range(0, len(times), size))]
-    e = np.concatenate(parts) if parts else np.empty((0, 4), dtype=complex)
+    e = _register_stack(omega.bonds[None], np.array(times, dtype=float)[None])[0]
     return RegisterElements(*(e[0] if _is_real(t) else e.T))
 
 
@@ -265,19 +266,19 @@ def _stack_size(m: int) -> int:
 
 def _register_stack(b: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The register elements of R chains of one order M at once, as the
-    rows (d_r1l1, d_r2l2, d_r1l2, d_r2l1) of an (R, 4) array: bonds b of
-    shape (R, M - 1), chain i at time t[i].  See `register_elements` for the
-    formula.  Every step is one set of array operations over the stack: the
-    spectra (`_spectra`, whose dqds inputs are one work array per block
-    kind), the choice of gap form (one test, each chain its own result), the
-    gap sums, the weights, and the phases, which exp takes over the zero
-    mode and the positive half only, since at -sigma_k the phase is the
-    conjugate of that at sigma_k bit for bit.  Every row of gap logs is
-    summed whole and every element is one vector dot, so a chain's elements
-    are the same bits in any stack.  The gap matrices of all R chains are
-    taken a block of the same rows of each chain at a time, at most
-    `_GAP_CELLS` cells a block while one row of every chain fits, so a stack
-    of more than one chain should be sized by `_stack_size`."""
+    rows (d_r1l1, d_r2l2, d_r1l2, d_r2l1) of an (R, T, 4) array: bonds b of
+    shape (R, M - 1), chain i at the times t[i] of an (R, T) array t.  See
+    `register_elements` for the formula.  Every step is one set of array
+    operations over the stack: the spectra (`_spectra`, whose dqds inputs
+    are one work array per block kind), the choice of gap form (one test,
+    each chain its own result), the gap sums and the weights, once a chain,
+    and the phases, which exp takes over the zero mode and the positive half
+    only: at -sigma_k the phase is the conjugate of that at sigma_k bit for
+    bit.  Every row of gap logs is summed whole and every element is one
+    vector dot, so a chain's elements are the same bits in any stack.  The
+    gap rows, then the times, of all R chains are taken a block at a time,
+    at most `_GAP_CELLS` cells a block while one row or time of every chain
+    fits, so a stack of more than one chain should be sized by `_stack_size`."""
     r, m = b.shape[0], b.shape[1] + 1
     p = m // 2
     z = m - 2 * p
@@ -341,15 +342,6 @@ def _register_stack(b: np.ndarray, t: np.ndarray) -> np.ndarray:
         log_chi[:, :p] = pos[:, ::-1]
         lam = np.zeros((r, m))
         lam[:, :p], lam[:, m - p:] = -sig[:, ::-1], sig
-        # e^{-i lambda_k t} over the zero mode and the positive half; at
-        # -sigma_k it is the conjugate of that at sigma_k, bit for bit
-        phases = np.empty((r, m), dtype=complex)
-        np.exp(-1j * lam[:, p:] * t[:, None], out=phases[:, p:])
-        np.conjugate(phases[:, m - p:][:, ::-1], out=phases[:, :p])
-        # times the sign (-1)^(M-1-k) of chi'(lambda_k)
-        sign = np.empty(m)
-        sign[m - 1::-2], sign[m - 2::-2] = 1.0, -1.0
-        phases *= sign
         # Delta_{R1,L1} = Delta_{1,M}, Delta_{R2,L2} = Delta_{2,M-1},
         # Delta_{R1,L2} = Delta_{2,M}, Delta_{R2,L1} = Delta_{1,M-1}: bonds
         # b[first:stop] (0-based) times lambda^0, lambda^2, lambda, lambda
@@ -364,11 +356,25 @@ def _register_stack(b: np.ndarray, t: np.ndarray) -> np.ndarray:
         # `stop`, times b[0]'s where first = 1
         signs = 1.0
         if np.count_nonzero(b < 0):
-            prefix = np.cumprod(np.sign(b), axis=1)
-            signs = prefix[:, [m - 2, m - 3, m - 2, m - 3]]
-            signs[:, 1:3] *= prefix[:, :1]
-        # one vector dot per element, as for a single chain
-        return signs * np.matmul(weights[:, :, None], phases[:, None, :, None])[:, :, 0, 0]
+            prefix = np.cumprod(np.sign(b), axis=1)[:, None]
+            signs = prefix[..., [m - 2, m - 3, m - 2, m - 3]]
+            signs[..., 1:3] *= prefix[..., :1]
+        sign = np.empty(m)  # the sign (-1)^(M-1-k) of chi'(lambda_k)
+        sign[m - 1::-2], sign[m - 2::-2] = 1.0, -1.0
+        e = np.empty((r, t.shape[1], 4), dtype=complex)
+        step = max(1, _GAP_CELLS // (r * m))
+        for j0 in range(0, t.shape[1], step):
+            # e^{-i lambda_k t} over the zero mode and the positive half; at
+            # -sigma_k it is the conjugate of that at sigma_k, bit for bit
+            ts = t[:, j0:j0 + step, None]
+            phases = np.empty((r, ts.shape[1], m), dtype=complex)
+            np.exp(-1j * lam[:, None, p:] * ts, out=phases[..., p:])
+            np.conjugate(phases[..., m - p:][..., ::-1], out=phases[..., :p])
+            phases *= sign
+            # one vector dot per element, as for a single chain
+            e[:, j0:j0 + step] = np.matmul(weights[:, None, :, None],
+                                           phases[..., None, :, None])[..., 0, 0]
+        return signs * e
 
 
 def _square_norm(x):
@@ -426,6 +432,8 @@ def default_ratio_grid(lo: float = 1e-3, hi: float = 1.0, steps: int = 40,
         raise ValueError(f"need ratio_min < ratio_max, got [{lo}, {hi}]")
     if lo <= 0:
         raise ValueError("ratios must be positive")
+    if not isinstance(log_spaced, (bool, np.bool_)):
+        raise ValueError(f"log_spaced must be a bool, got {_quote(log_spaced)}")
     if log_spaced:
         grid = np.geomspace(lo, hi, steps)
     else:
@@ -439,7 +447,7 @@ def _point_fidelities(specs: list[ChainSpec], t_choice,
     `_register_stack` call for their elements, one call of each fidelity
     formula over the stack, then one finiteness check."""
     ts = [spec.tau if t_choice == "tau" else float(t_choice) for spec in specs]
-    stack = _register_stack(build_full_bonds(specs), np.array(ts))
+    stack = _register_stack(build_full_bonds(specs), np.array(ts)[:, None])[:, 0]
     elems = RegisterElements(*stack.T)
     fids = [f_dfs(elems) if enc == "dfs" else f_ndfs(elems) for enc in encodings]
     # extreme ratios or times overflow the spectral sums
@@ -475,6 +483,14 @@ def _point_fidelities(specs: list[ChainSpec], t_choice,
 _POOL_MIN_ORDER = 500
 
 
+def _listed(values, name: str) -> list:
+    """list(values), or a ValueError that names the argument if it is no sequence."""
+    try:
+        return list(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {_quote(values)}") from None
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the OS has one."""
     try:
@@ -488,38 +504,43 @@ def sweep_fidelity(n: int, N_list, ratio_grid, t_choice="tau",
     """Fidelity over the (N, ratio) grid at g_C = 1.
 
     Row order is deterministic: N outer, ratio inner ascending, dfs before
-    ndfs.  The grid is checked before any point runs; a ratio must be a
-    real number and not a bool, as `derive_parameters` asks of g_I, and so
-    must a time t_choice other than "tau" (`_is_real`; an inf or nan time
-    runs and is reported as a non-finite point).  The
-    ratios of each channel length run in grid order as stacks of up to
-    `_stack_size(N + 2n)` points, one `_point_fidelities` task a stack,
-    whose elements come from one `_register_stack` call.  The stacks of a
-    chain with at least `_POOL_MIN_ORDER` sites (one point each) run on a
-    thread pool of one worker per usable CPU (at most one per ratio),
-    opened and closed within the call; shorter chains, a single ratio or a
-    single CPU run serially in the calling thread.  Either way each point
-    gets the same bits, and of the points whose result is not finite the
-    first in grid order is the one reported.
+    ndfs.  The grid is checked before any point runs: N_list, ratio_grid and
+    encodings must each be a non-empty sequence (encodings of "dfs" and
+    "ndfs"); a ratio must be a real number and not a bool, as
+    `derive_parameters` asks of g_I, and so must a time t_choice other than
+    "tau" (`_is_real`; an inf or nan time runs and is reported as a
+    non-finite point).  The ratios of each channel length run in grid order
+    as stacks of up to `_stack_size(N + 2n)` points, one `_point_fidelities`
+    task a stack, whose elements come from one `_register_stack` call.  The
+    stacks of a chain with at least `_POOL_MIN_ORDER` sites (one point each)
+    run on a thread pool of one worker per usable CPU (at most one per
+    ratio), opened and closed within the call; shorter chains, a single
+    ratio or a single CPU run serially in the calling thread.  Either way
+    each point gets the same bits, and of the points whose result is not
+    finite the first in grid order is the one reported.
     Only two-qubit registers (n = 2) are supported: the fidelity formulas
     and `register_elements` are the n = 2 ones.
     """
     # n stays a parameter, though only 2 is valid: bench/workloads.py calls sweep_fidelity(2, ...)
-    if n != 2:
-        raise ValueError(f"the sweep evaluates the n = 2 fidelity formulas, got n = {n}")
-    N_list, ratios = list(N_list), list(ratio_grid)
+    if not (_is_int(n) and n == 2):
+        raise ValueError(f"the sweep evaluates the n = 2 fidelity formulas, got n = {_quote(n)}")
+    N_list, ratios = _listed(N_list, "N_list"), _listed(ratio_grid, "ratio_grid")
     for r in ratios:
         # derive_parameters' rule: float() alone would pass True as 1.0
         if not _is_real(r):
             raise ValueError(f"ratios must be real numbers, got {r!r}")
     ratios = sorted(map(float, ratios))
-    if not (t_choice == "tau" or _is_real(t_choice)):
-        raise ValueError(f"t_choice must be 'tau' or a real number, got {t_choice!r}")
-    if not N_list or not ratios:
-        raise ValueError("empty sweep grid")
+    if not (_is_real(t_choice) or isinstance(t_choice, str) and t_choice == "tau"):
+        raise ValueError(f"t_choice must be 'tau' or a real number, got {_quote(t_choice)}")
+    if isinstance(encodings, str):  # a sequence of its letters: "dfs" is 'd', 'f', 's'
+        raise ValueError(f"encodings must be a sequence of names, got {encodings!r}")
+    encodings = tuple(_listed(encodings, "encodings"))
+    if not N_list or not ratios or not encodings:
+        raise ValueError(f"empty sweep grid: {len(N_list)} channel lengths, {len(ratios)} "
+                         f"ratios and {len(encodings)} encodings")
     for enc in encodings:
-        if enc not in ("dfs", "ndfs"):
-            raise ValueError(f"unknown encoding {enc!r}")
+        if not (isinstance(enc, str) and enc in ("dfs", "ndfs")):
+            raise ValueError(f"unknown encoding {_quote(enc)}")
     # every point's parameters first, so that derive_parameters refuses a bad
     # channel length or ratio before any point runs
     chains = [[derive_parameters(n, N, 1.0, r) for r in ratios] for N in N_list]

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ChainSpec, CouplingMatrix, derive_parameters, \
-    build_full_coupling_matrix, build_effective_coupling_matrix, _is_int, _is_real
+    build_full_coupling_matrix, build_effective_coupling_matrix, _is_int, _is_real, _quote
 
 __all__ = [
     "MAX_SITES",
@@ -115,12 +115,11 @@ class DephasingModel:
 
 
 def _coupling_for(spec: ChainSpec, which: str) -> CouplingMatrix:
-    if which == "full":
-        omega = build_full_coupling_matrix(spec)
-    elif which == "effective":
-        omega = build_effective_coupling_matrix(spec)
-    else:
-        raise ValueError(f"which must be 'full' or 'effective', got {which!r}")
+    # a str test first: an array's == against a string is an array
+    if not (isinstance(which, str) and which in ("full", "effective")):
+        raise ValueError(f"which must be 'full' or 'effective', got {_quote(which)}")
+    build = build_full_coupling_matrix if which == "full" else build_effective_coupling_matrix
+    omega = build(spec)
     if omega.order > MAX_SITES:
         raise ValueError(f"{omega.order} sites exceeds the oracle cap of {MAX_SITES}")
     return omega
@@ -460,24 +459,24 @@ def average_fidelity_bruteforce(spec: ChainSpec, encoding, t: float,
     (enumerating every channel basis state exactly) or in the one basis
     state an integer channel_init names; the right register starts in
     vacuum.  deph is a DephasingModel or None (no dephasing).  t must be
-    finite.  logical_target overrides the unitary the output is compared
-    against ("identity" or "z"); by default the NDFS encoding is compared
-    against its deterministic Z-corrected target.
+    finite.  logical_target, unless None, overrides the unitary the output
+    is compared against ("identity" or "z"); by default the NDFS encoding is
+    compared against its deterministic Z-corrected target.
     """
     bonds, n_channel = _pipeline_chain(spec, which, t)
     if not (deph is None or isinstance(deph, DephasingModel)):
         raise ValueError(f"deph must be a DephasingModel or None, got {deph!r}")
-    if channel_init == "maximally-mixed":
+    if isinstance(channel_init, str) and channel_init == "maximally-mixed":
         channel_states = np.arange(1 << n_channel)
     elif _is_int(channel_init) and 0 <= channel_init < 1 << n_channel:
         channel_states = [int(channel_init)]
     else:
         raise ValueError("channel_init must be 'maximally-mixed' or an integer basis state "
-                         f"in [0, {1 << n_channel}), got {channel_init!r}")
+                         f"in [0, {1 << n_channel}), got {_quote(channel_init)}")
 
-    target = logical_target or _default_target(encoding)
-    if target not in ("identity", "z"):
-        raise ValueError(f"unknown logical target {target!r}")
+    target = _default_target(encoding) if logical_target is None else logical_target
+    if not (isinstance(target, str) and target in ("identity", "z")):
+        raise ValueError(f"unknown logical target {_quote(target)}")
 
     lams = deph.draw() if deph is not None and deph.sigma_lambda > 0 else np.zeros(1)
     return float(np.mean(_mean_fidelities(

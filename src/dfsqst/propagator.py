@@ -63,6 +63,8 @@ def dense_register_elements(omega: CouplingMatrix, t: float) -> RegisterElements
     The sites are found by position in the model's ordering: L1, L2 first,
     R2, R1 last.
     """
+    if not isinstance(omega, CouplingMatrix):
+        raise ValueError(f"omega must be a CouplingMatrix, got {_quote(omega)}")
     if omega.n < 2:
         raise ValueError("register_elements needs the sites L1, L2, ..., R2, R1")
     d = propagator_at(eigendecompose(omega), t)

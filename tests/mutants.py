@@ -60,11 +60,10 @@ MUTANTS = (
            "np.multiply(g, s, out=g, where=fit)", "np.multiply(g, s, out=g)",
            (FIDELITY_TESTS + "TestSweepStacks",)),
     Mutant("first-bond sign lost", "fidelity.py",
-           "            signs[:, 1:3] *= prefix[:, :1]\n", "",
+           "            signs[..., 1:3] *= prefix[..., :1]\n", "",
            (FIDELITY_TESTS + "TestRegisterElements::test_matches_dense_propagator",)),
     Mutant("every chain at the first chain's time", "fidelity.py",
-           "np.exp(-1j * lam[:, p:] * t[:, None], out=phases[:, p:])",
-           "np.exp(-1j * lam[:, p:] * t[0], out=phases[:, p:])",
+           "ts = t[:, j0:j0 + step, None]", "ts = t[:1, j0:j0 + step, None]",
            (FIDELITY_TESTS + "TestSweepStacks",)),
     Mutant("numpy's complex array multiply in F_DFS", "fidelity.py",
            "coherence = a.real * b.real + a.imag * b.imag",
@@ -81,14 +80,17 @@ MUTANTS = (
            "    if spec.n > 3:\n        raise ValueError(\"the encode/decode pipeline",
            ("tests/test_inputs.py::test_dephasing_report_needs_two_qubit_registers",)),
     Mutant("sweep time check dropped", "fidelity.py",
-           "    if not (t_choice == \"tau\" or _is_real(t_choice)):", "    if False:",
+           "    if not (_is_real(t_choice) or isinstance(t_choice, str) and t_choice == \"tau\"):",
+           "    if False:",
            ("tests/test_inputs.py::test_sweep_time_must_be_a_real_number",)),
     Mutant("time-array rows reversed", "fidelity.py",
-           "np.array(times, dtype=float), _stack_size",
-           "np.array(times, dtype=float)[::-1], _stack_size",
+           "np.array(times, dtype=float)[None]", "np.array(times, dtype=float)[::-1][None]",
            (FIDELITY_TESTS + "TestTimeArrays::test_each_time_is_the_scalar_call",)),
     Mutant("time-array chunks one time too long", "fidelity.py",
-           "times[k:k + size] for k in range", "times[k:k + size + 1] for k in range",
+           "ts = t[:, j0:j0 + step, None]", "ts = t[:, j0:j0 + step + 1, None]",
+           (FIDELITY_TESTS + "TestTimeArrays::test_each_time_is_the_scalar_call",)),
+    Mutant("every time of a block evaluated at the block's first time", "fidelity.py",
+           "ts = t[:, j0:j0 + step, None]", "ts = t[:, j0:j0 + 1, None]",
            (FIDELITY_TESTS + "TestTimeArrays::test_each_time_is_the_scalar_call",)),
     Mutant("evolve runs split one start late", "oracle.py",
            EDGES, EDGES + "    edges[1:-1] = [e + 1 for e in edges[1:-1]]\n",

@@ -335,16 +335,18 @@ class TestRegisterElements:
             assert_bit_identical(register_elements(omega, t), one_shot_register_elements(omega, t))
 
     def test_scratch_memory_is_not_quadratic(self):
-        # M = 2005: a whole gap matrix is 32 MB, and the one-shot form peaked at 61 MB
+        # M = 2005: a whole gap matrix is 32 MB, and the one-shot form peaked
+        # at 61 MB; the phases of all 400 times at once would be 12.8 MB
         spec = derive_parameters(2, 2001, 1.0, 0.1)
         omega = build_full_coupling_matrix(spec)
-        tracemalloc.start()
-        try:
-            register_elements(omega, spec.tau)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 2 ** 20
+        for t in (spec.tau, np.linspace(0.0, 2 * spec.tau, 400)):
+            tracemalloc.start()
+            try:
+                register_elements(omega, t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 2 ** 20, np.size(t)
 
     @pytest.mark.parametrize("N", [11, 51, 101])
     @pytest.mark.parametrize("ratio", [1e-3, 0.03, 1.0])
@@ -582,8 +584,9 @@ def time_grid_chains(draw):
 
 
 class TestTimeArrays:
-    """`register_elements` on a sequence of times runs them as stacks of the
-    one chain; each entry is the bits the scalar call gives."""
+    """`register_elements` on a sequence of times solves the chain once and
+    takes the phases in blocks of times; each entry is the bits the scalar
+    call gives."""
 
     @settings(max_examples=80, deadline=None)
     @given(omega=time_grid_chains(),
@@ -591,7 +594,7 @@ class TestTimeArrays:
                           max_size=12),
            cells=st.sampled_from(["1", "7", "p^2", "3p^2 + 5", "default"]),
            container=st.sampled_from([list, tuple, np.array]))
-    # 12 times in stacks of 3: four whole stacks; and the empty array
+    # 12 times in blocks of 4: three whole blocks; and the empty array
     @example(omega=build_full_coupling_matrix(derive_parameters(2, 3, 1.0, 0.1)),
              times=[0.1 * k for k in range(12)], cells="3p^2 + 5", container=np.array)
     @example(omega=build_full_coupling_matrix(derive_parameters(2, 3, 1.0, 0.1)),
@@ -607,7 +610,8 @@ class TestTimeArrays:
         assert [element_bits(RegisterElements(*row)) for row in zip(*vars(e).values())] == alone
 
     def test_a_long_chain_runs_one_time_a_stack(self):
-        # from N = 497 (501 sites, p = 250) a stack holds one chain
+        # from N = 497 (501 sites, p = 250) a sweep stack holds one chain;
+        # register_elements takes its times as one block of that one chain
         spec = derive_parameters(2, 497, 1.0, 0.05)
         omega = build_full_coupling_matrix(spec)
         assert fidelity._stack_size(omega.order) == 1
@@ -616,10 +620,35 @@ class TestTimeArrays:
         assert ([element_bits(RegisterElements(*row)) for row in zip(*vars(e).values())]
                 == [element_bits(register_elements(omega, t)) for t in times])
 
+    def test_a_time_grid_solves_the_chain_once(self, monkeypatch):
+        # the weights depend on the chain alone, so 1000 times make the dqds
+        # calls of one time; copies of the chain made 1000 times as many
+        omega = build_full_coupling_matrix(derive_parameters(2, 11, 1.0, 0.2))
+        dlasq1, calls = fidelity._dlasq1, []
+
+        def counted(*args):
+            calls.append(args)
+            return dlasq1(*args)
+
+        monkeypatch.setattr(fidelity, "_dlasq1", counted)
+        register_elements(omega, 1.3)
+        scalar = len(calls)
+        register_elements(omega, np.linspace(0.0, 10.0, 1000))
+        assert scalar > 0 and len(calls) == 2 * scalar
+
+    def test_an_empty_time_sequence_still_checks_the_chain(self):
+        # the chain is solved once for any number of times, none included:
+        # a zero bond is refused, where [] used to return empty arrays
+        with pytest.raises(ValueError, match="every bond nonzero"):
+            register_elements(CouplingMatrix(np.array([1.0, 0.0, 1.0, 1.0]), 2), [])
+        e = register_elements(build_full_coupling_matrix(derive_parameters(2, 3, 1.0, 0.1)), [])
+        for name in ELEMENT_NAMES:
+            assert getattr(e, name).shape == (0,) and getattr(e, name).dtype == complex
+
     def test_a_scalar_time_gives_the_one_row_stack(self):
         omega = build_full_coupling_matrix(derive_parameters(2, 11, 1.0, 0.2))
         e = register_elements(omega, 1.3)
-        row = fidelity._register_stack(omega.bonds[None], np.array([1.3]))[0]
+        row = fidelity._register_stack(omega.bonds[None], np.array([[1.3]]))[0, 0]
         assert all(type(v) is np.complex128 for v in vars(e).values())
         assert element_bits(e) == element_bits(RegisterElements(*row))
 
@@ -861,7 +890,7 @@ class TestSweepStacks:
                  for spec, t in zip(specs, ts)]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fidelity, "_GAP_CELLS", gap_cells(cells, (N + 4) // 2))
-            stack = fidelity._register_stack(build_full_bonds(specs), ts)
+            stack = fidelity._register_stack(build_full_bonds(specs), ts[:, None])[:, 0]
         assert [element_bits(RegisterElements(*row)) for row in stack] == alone
 
     @pytest.mark.parametrize("cells", ["1", "7", "p^2", "3p^2 + 5"])

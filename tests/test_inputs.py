@@ -28,6 +28,7 @@ SPEC = derive_parameters(2, 3, 1.0, 0.1)
 OMEGA = build_full_coupling_matrix(SPEC)
 DECOMP = eigendecompose(OMEGA)
 DEPH = DephasingModel(0.5 / SPEC.tau, samples=5)
+PAIR = np.array([1, 2])  # an array where a scalar or a name belongs
 
 
 def _sweep(n, N, ratio, t_choice):
@@ -154,9 +155,40 @@ def test_non_finite_sweep_time_is_a_non_finite_point(t):
     (lambda: dephasing_protection_report(SPEC, None, SPEC.tau), "deph must be a DephasingModel"),
     (lambda: average_fidelity_bruteforce(None, "dfs", 1.0), "spec must be a ChainSpec"),
     (lambda: dephasing_protection_report(None, DEPH, 1.0), "spec must be a ChainSpec"),
+    # each raised numpy's "truth value of an array ... is ambiguous"
+    (lambda: average_fidelity_bruteforce(SPEC, "dfs", SPEC.tau, channel_init=PAIR),
+     "channel_init must be 'maximally-mixed' or an integer"),
+    (lambda: average_fidelity_bruteforce(SPEC, "dfs", SPEC.tau, logical_target=PAIR),
+     "unknown logical target"),
+    (lambda: average_fidelity_bruteforce(SPEC, "dfs", SPEC.tau, which=PAIR),
+     "which must be 'full' or 'effective'"),
+    (lambda: dephasing_protection_report(SPEC, DEPH, SPEC.tau, which=PAIR),
+     "which must be 'full' or 'effective'"),
+    (lambda: sweep_fidelity(2, [3], [0.1], t_choice=np.array([1.0, 2.0])),
+     "t_choice must be 'tau' or a real number"),
+    (lambda: sweep_fidelity(PAIR, [3], [0.1]), "n = 2 fidelity formulas"),
+    (lambda: sweep_fidelity(2, [3], [0.1], encodings=[PAIR]), "unknown encoding"),
+    (lambda: default_ratio_grid(log_spaced=np.array([1, 0])), "log_spaced must be a bool"),
+    # each raised AttributeError
+    (lambda: register_elements(None, 1.0), "omega must be a CouplingMatrix"),
+    (lambda: dense_register_elements(None, 1.0), "omega must be a CouplingMatrix"),
+    # each raised TypeError: 'int' object is not iterable
+    (lambda: sweep_fidelity(2, 3, [0.1]), "N_list must be a sequence"),
+    (lambda: sweep_fidelity(2, [3], 0.1), "ratio_grid must be a sequence"),
+    (lambda: sweep_fidelity(2, [3], [0.1], encodings=5), "encodings must be a sequence"),
+    # ran every point and returned no rows
+    (lambda: sweep_fidelity(2, [3], [0.1], encodings=()), "empty sweep grid: .* 0 encodings"),
+    # reported "unknown encoding 'd'"
+    (lambda: sweep_fidelity(2, [3], [0.1], encodings="dfs"),
+     "encodings must be a sequence of names, got 'dfs'"),
 ], ids=["phase_table-n4", "bruteforce-which", "bruteforce-logical_target",
         "bruteforce-encoding", "bruteforce-encoding-unhashable", "bruteforce-encoding-bool",
-        "bruteforce-deph", "report-deph-None", "bruteforce-spec-None", "report-spec-None"])
+        "bruteforce-deph", "report-deph-None", "bruteforce-spec-None", "report-spec-None",
+        "bruteforce-channel_init-array", "bruteforce-logical_target-array",
+        "bruteforce-which-array", "report-which-array", "sweep-t_choice-array", "sweep-n-array",
+        "sweep-encoding-array", "grid-log_spaced-array", "register_elements-None",
+        "dense_register_elements-None", "sweep-N_list-int", "sweep-ratio_grid-float",
+        "sweep-encodings-int", "sweep-encodings-empty", "sweep-encodings-string"])
 def test_value_outside_its_set_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
